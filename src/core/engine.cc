@@ -1,6 +1,8 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <memory>
 
 #include "common/logging.h"
@@ -9,6 +11,25 @@
 #include "storage/chunk.h"
 
 namespace eba {
+
+namespace {
+
+/// The first element of the sorted range [first, last) not less than
+/// `value`, galloping forward from `first`: O(log d) when the answer is d
+/// elements in, so a scan whose values ascend walks the range once.
+const int64_t* GallopLowerBound(const int64_t* first, const int64_t* last,
+                                int64_t value) {
+  size_t step = 1;
+  while (static_cast<size_t>(last - first) > step && first[step] < value) {
+    first += step;
+    step *= 2;
+  }
+  return std::lower_bound(
+      first, first + std::min(step + 1, static_cast<size_t>(last - first)),
+      value);
+}
+
+}  // namespace
 
 ExplanationEngine::ExplanationEngine(const Database* db, std::string log_table,
                                      QAttr lid_attr)
@@ -102,7 +123,7 @@ StatusOr<ExplanationReport> ExplanationEngine::ExplainAll(
     const ExplainAllOptions& options,
     const Database::Snapshot& snapshot) const {
   EBA_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(log_table_));
-  EBA_ASSIGN_OR_RETURN(AccessLog log, AccessLog::Wrap(table));
+  EBA_RETURN_IF_ERROR(AccessLog::Wrap(table).status());
 
   ExplanationReport report;
   // Everything below — template evaluation AND the classification scan —
@@ -145,27 +166,44 @@ StatusOr<ExplanationReport> ExplanationEngine::ExplainAll(
     per_template[i] = ExplainedLids(i, exec, snapshot);
   });
 
-  std::unordered_set<int64_t> explained;
+  // The per-template lid vectors are sorted and distinct; their union is
+  // too.
+  std::vector<int64_t> explained;
   for (auto& lids_or : per_template) {
     if (!lids_or.ok()) return lids_or.status();
     report.per_template_counts.push_back(lids_or->size());
-    explained.insert(lids_or->begin(), lids_or->end());
+    std::vector<int64_t> merged;
+    merged.reserve(explained.size() + lids_or->size());
+    std::set_union(explained.begin(), explained.end(), lids_or->begin(),
+                   lids_or->end(), std::back_inserter(merged));
+    explained.swap(merged);
   }
 
   // Phase 2: classify log rows against the merged lid set in contiguous
-  // shards, then concatenate per-shard results in shard order. Shard
+  // shards, then concatenate per-shard results in shard order. Each shard
+  // merges its Lid column run against the union: lids usually ascend with
+  // the row, so each search gallops on from the previous lid's position,
+  // and a lid below its predecessor restarts from the front. Shard
   // boundaries never reorder rows, so the merged vectors match the serial
   // scan before the final sort — the report is thread-count invariant.
   // Shards align to column-chunk boundaries: a worker's scan stays within
   // the chunks it owns instead of sharing its edge chunks with neighbors.
+  const Column& lid_col = table->column(static_cast<size_t>(lid_attr_.col));
   std::vector<ShardRange> shards = SplitShardsAligned(
       log_rows, threads, options.min_rows_per_shard, kColumnChunkRows);
   std::vector<std::vector<int64_t>> shard_explained(shards.size());
   std::vector<std::vector<int64_t>> shard_unexplained(shards.size());
+  const int64_t* const union_begin = explained.data();
+  const int64_t* const union_end = union_begin + explained.size();
   ParallelFor(pool.get(), shards.size(), [&](size_t s) {
+    const int64_t* pos = union_begin;
+    int64_t prev = std::numeric_limits<int64_t>::min();
     for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-      int64_t lid = log.Get(r).lid;
-      if (explained.count(lid)) {
+      const int64_t lid = lid_col.Int64At(r);
+      if (lid < prev) pos = union_begin;
+      prev = lid;
+      pos = GallopLowerBound(pos, union_end, lid);
+      if (pos != union_end && *pos == lid) {
         shard_explained[s].push_back(lid);
       } else {
         shard_unexplained[s].push_back(lid);

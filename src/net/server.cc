@@ -75,6 +75,11 @@ void AuditServer::ResumeIngestForTest() {
   ingest_cv_.NotifyAll();
 }
 
+size_t AuditServer::PendingAppendsForTest() const {
+  MutexLock lock(ingest_mu_);
+  return ingest_queue_.size();
+}
+
 ServerReport AuditServer::ReportNow() const {
   ServerReport report;
   report.rows_appended = auditor_->rows_appended();

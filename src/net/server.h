@@ -91,9 +91,12 @@ class AuditServer {
   ServerReport ReportNow() const;
 
   /// Test hooks: hold the ingest thread so the queue fills deterministically
-  /// (backpressure tests), then release it.
+  /// (backpressure tests), then release it; and the number of appends
+  /// queued for the ingest thread, so a test can wait for its own batch to
+  /// hold a slot before probing the full queue.
   void PauseIngestForTest();
   void ResumeIngestForTest();
+  size_t PendingAppendsForTest() const;
 
  private:
   /// An append waiting for the ingest thread. `table` empty = the log.

@@ -296,49 +296,66 @@ void DedupFrame(Frame* f) {
 // plan is executed by exactly the code that executed it at record time.
 // ===========================================================================
 
-/// Applies a bound-bound condition directly against raw column payloads
-/// (kJoinFilter / kVarVarFilter steps). Same-type integer-like columns
-/// compare int64 payloads, strings compare dictionary codes (same column)
-/// or dictionary strings, doubles compare raw doubles; any cross-type pair
-/// falls back to boxed EvalCmp so the result is bit-identical to the
-/// reference engine.
+/// The one bound-bound comparison routine, shared by the kJoinFilter /
+/// kVarVarFilter steps and the residuals a kJoin checks inside its probe.
+/// The payload kind is resolved once from the column types: same-type
+/// integer-like columns compare int64 payloads, strings compare dictionary
+/// codes (same column, equality) or dictionary strings, doubles compare raw
+/// doubles; any cross-type pair falls back to boxed EvalCmp so the result
+/// is bit-identical to the reference engine.
+class PairCmp {
+ public:
+  PairCmp(const Column* lc, CmpOp op, const Column* rc)
+      : lc_(lc), rc_(rc), op_(op), kind_(Resolve(lc, op, rc)) {}
+
+  /// True when the compare runs on raw payloads (int64, dictionary code or
+  /// double) — the pairs a join may fuse as residuals.
+  bool raw() const { return kind_ != Kind::kString && kind_ != Kind::kBoxed; }
+
+  bool operator()(uint32_t lr, uint32_t rr) const {
+    if (kind_ == Kind::kBoxed) return EvalCmp(lc_->Get(lr), op_, rc_->Get(rr));
+    if (lc_->IsNull(lr) || rc_->IsNull(rr)) return false;
+    switch (kind_) {
+      case Kind::kInt64:
+        return RawCmp(lc_->Int64At(lr), op_, rc_->Int64At(rr));
+      case Kind::kStringCode:
+        return lc_->StringCodeAt(lr) == rc_->StringCodeAt(rr);
+      case Kind::kString:
+        return RawCmp(lc_->StringAt(lr), op_, rc_->StringAt(rr));
+      case Kind::kDouble:
+        return RawCmp(lc_->DoubleAt(lr), op_, rc_->DoubleAt(rr));
+      case Kind::kBoxed:
+        break;
+    }
+    return false;
+  }
+
+ private:
+  enum class Kind : uint8_t { kInt64, kStringCode, kString, kDouble, kBoxed };
+
+  static Kind Resolve(const Column* lc, CmpOp op, const Column* rc) {
+    if (lc->type() != rc->type()) return Kind::kBoxed;
+    if (lc->IsIntLike()) return Kind::kInt64;
+    if (lc->IsString()) {
+      return op == CmpOp::kEq && lc == rc ? Kind::kStringCode : Kind::kString;
+    }
+    if (lc->type() == DataType::kDouble) return Kind::kDouble;
+    return Kind::kBoxed;
+  }
+
+  const Column* lc_;
+  const Column* rc_;
+  CmpOp op_;
+  Kind kind_;
+};
+
+/// Applies a bound-bound condition left out of its binding join's probe
+/// (kJoinFilter / kVarVarFilter steps).
 void ApplyVarVarStep(Frame* f, const PlanStep& st, const ParCtx& par) {
   const std::vector<uint32_t>& lids = f->ids[static_cast<size_t>(st.lhs_slot)];
   const std::vector<uint32_t>& rids = f->ids[static_cast<size_t>(st.rhs_slot)];
-  const Column* lc = st.lhs_col;
-  const Column* rc = st.rhs_col;
-  const CmpOp op = st.op;
-  if (lc->type() == rc->type() && lc->IsIntLike()) {
-    FilterFrame(f, par, [&](uint32_t i) {
-      const uint32_t lr = lids[i], rr = rids[i];
-      if (lc->IsNull(lr) || rc->IsNull(rr)) return false;
-      return RawCmp(lc->Int64At(lr), op, rc->Int64At(rr));
-    });
-  } else if (lc->type() == rc->type() && lc->IsString()) {
-    if (op == CmpOp::kEq && lc == rc) {
-      FilterFrame(f, par, [&](uint32_t i) {
-        const uint32_t lr = lids[i], rr = rids[i];
-        if (lc->IsNull(lr) || rc->IsNull(rr)) return false;
-        return lc->StringCodeAt(lr) == rc->StringCodeAt(rr);
-      });
-    } else {
-      FilterFrame(f, par, [&](uint32_t i) {
-        const uint32_t lr = lids[i], rr = rids[i];
-        if (lc->IsNull(lr) || rc->IsNull(rr)) return false;
-        return RawCmp(lc->StringAt(lr), op, rc->StringAt(rr));
-      });
-    }
-  } else if (lc->type() == rc->type() && lc->type() == DataType::kDouble) {
-    FilterFrame(f, par, [&](uint32_t i) {
-      const uint32_t lr = lids[i], rr = rids[i];
-      if (lc->IsNull(lr) || rc->IsNull(rr)) return false;
-      return RawCmp(lc->DoubleAt(lr), op, rc->DoubleAt(rr));
-    });
-  } else {
-    FilterFrame(f, par, [&](uint32_t i) {
-      return EvalCmp(lc->Get(lids[i]), op, rc->Get(rids[i]));
-    });
-  }
+  const PairCmp cmp(st.lhs_col, st.op, st.rhs_col);
+  FilterFrame(f, par, [&](uint32_t i) { return cmp(lids[i], rids[i]); });
 }
 
 /// Compiles an attribute-literal condition: the literal is resolved once at
@@ -455,16 +472,49 @@ void ApplyDropStep(Frame* f, const PlanStep& st) {
 /// One hash-join step: probes the build side's index with raw payloads (or
 /// pre-translated dictionary codes) and appends row ids — the accumulated
 /// tuple is never copied as boxed values, only its uint32 columns are
-/// gathered through the selection vector. With morsels, the probe column is
-/// partitioned into contiguous shards; per-shard selection vectors are
-/// built independently and concatenated in shard order, so the output frame
-/// is byte-identical to the serial probe at any thread count.
+/// gathered through the selection vector. Each candidate match must pass
+/// the step's residuals before it is emitted, so the frame only ever holds
+/// surviving pairs, in probe order. Without `keep_new` (an existence probe)
+/// a probe row is emitted once, at its first surviving match — exactly the
+/// tuple a filter-then-drop-then-first-occurrence-dedup would keep. With
+/// morsels, the probe column is partitioned into contiguous shards;
+/// per-shard selection vectors are built independently and concatenated in
+/// shard order, so the output frame is byte-identical to the serial probe
+/// at any thread count.
 void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
                      ExecStats* stats, size_t build_bound) {
   const std::vector<uint32_t>& pids = f->ids[static_cast<size_t>(st.probe_slot)];
   const size_t n = f->size();
   const Column& probe_col = *st.probe_col;
   const HashIndex& idx = *st.index;
+
+  // Residuals bound to this frame: a null side reads the candidate match.
+  struct BoundResidual {
+    PairCmp cmp;
+    const uint32_t* lhs_ids;
+    const uint32_t* rhs_ids;
+  };
+  std::vector<BoundResidual> residuals;
+  residuals.reserve(st.residuals.size());
+  auto side = [&](int slot) -> const uint32_t* {
+    return slot == PlanStep::Residual::kNewVar
+               ? nullptr
+               : f->ids[static_cast<size_t>(slot)].data();
+  };
+  for (const PlanStep::Residual& r : st.residuals) {
+    residuals.push_back(BoundResidual{PairCmp(r.lhs_col, r.op, r.rhs_col),
+                                      side(r.lhs_slot), side(r.rhs_slot)});
+  }
+  auto survives = [&](size_t i, uint32_t m) {
+    for (const BoundResidual& r : residuals) {
+      if (!r.cmp(r.lhs_ids != nullptr ? r.lhs_ids[i] : m,
+                 r.rhs_ids != nullptr ? r.rhs_ids[i] : m)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const bool exists_only = !st.keep_new;
 
   auto probe_range = [&](size_t begin, size_t end, std::vector<uint32_t>* sel,
                          std::vector<uint32_t>* new_ids) {
@@ -474,7 +524,9 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
     // watermark never join.
     auto emit = [&](size_t i, RowIdSpan matches) {
       for (uint32_t m : matches) {
+        if (!survives(i, m)) continue;
         sel->push_back(static_cast<uint32_t>(i));
+        if (exists_only) return;
         new_ids->push_back(m);
       }
     };
@@ -789,6 +841,7 @@ class PlanningExecutor {
       const VarCondition& c = joins_[static_cast<size_t>(pick)];
       join_applied_[static_cast<size_t>(pick)] = true;
       --remaining;
+      std::vector<int> fused;  // chain conditions the join checks as residuals
 
       if (pick_is_filter) {
         const int ls = frame.SlotOf(c.lhs.var);
@@ -809,23 +862,31 @@ class PlanningExecutor {
               "non-equality join in chain; put theta conditions in "
               "extra_conditions");
         }
-        EBA_RETURN_IF_ERROR(CompileAndExecuteJoin(&frame, c, pick, pick_est));
+        EBA_RETURN_IF_ERROR(
+            CompileAndExecuteJoin(&frame, c, pick, pick_est, &fused));
+        remaining -= fused.size();
       }
 
       ApplyFilters(&frame);
       DropAndDedup(&frame);
-      CompiledPlan::StatsPoint sp;
-      sp.after_step = plan_->steps.size() - 1;
-      sp.condition_index = pick;
-      sp.is_filter = pick_is_filter;
-      sp.estimated_rows = pick_est;
-      plan_->stats_points.push_back(sp);
-      ExecStats::JoinStep step;
-      step.condition_index = pick;
-      step.is_filter = pick_is_filter;
-      step.rows_after = frame.size();
-      step.estimated_rows = pick_est;
-      stats_->join_order.push_back(step);
+      // One stats entry per chain condition: a fused one is recorded as the
+      // filter it replaced, right after its binding join.
+      auto record_stats = [&](int condition, bool is_filter, double est) {
+        CompiledPlan::StatsPoint sp;
+        sp.after_step = plan_->steps.size() - 1;
+        sp.condition_index = condition;
+        sp.is_filter = is_filter;
+        sp.estimated_rows = est;
+        plan_->stats_points.push_back(sp);
+        ExecStats::JoinStep step;
+        step.condition_index = condition;
+        step.is_filter = is_filter;
+        step.rows_after = frame.size();
+        step.estimated_rows = est;
+        stats_->join_order.push_back(step);
+      };
+      record_stats(pick, pick_is_filter, pick_est);
+      for (int cond : fused) record_stats(cond, /*is_filter=*/true, -1.0);
     }
 
     // Every variable must have been bound (otherwise the query was not a
@@ -962,11 +1023,36 @@ class PlanningExecutor {
     Record(frame, std::move(st));
   }
 
+  /// Appends `c` to the join's residuals when the join binding `new_var`
+  /// makes it fully bound with `new_var` on one side and PairCmp compares
+  /// it on raw payloads; returns whether it did.
+  bool FuseResidual(const Frame& frame, const VarCondition& c, int new_var,
+                    PlanStep* st) const {
+    if (c.lhs.var != new_var && c.rhs.var != new_var) return false;
+    // A side's slot once the join has run; nullopt while still unbound.
+    auto slot = [&](const QAttr& a) -> std::optional<int> {
+      if (a.var == new_var) return PlanStep::Residual::kNewVar;
+      if (!bound_[static_cast<size_t>(a.var)]) return std::nullopt;
+      const int s = frame.SlotOf(a.var);
+      EBA_CHECK(s >= 0);
+      return s;
+    };
+    const std::optional<int> ls = slot(c.lhs);
+    const std::optional<int> rs = slot(c.rhs);
+    if (!ls || !rs) return false;
+    const PlanStep::Residual r{*ls, *rs, ColumnOf(c.lhs), ColumnOf(c.rhs),
+                               c.op};
+    if (!PairCmp(r.lhs_col, r.op, r.rhs_col).raw()) return false;
+    st->residuals.push_back(r);
+    return true;
+  }
+
   /// Compiles one binding hash-join: resolves the probe dispatch, the index
-  /// binding, the dictionary-code translation, and the semi-join keep mask,
-  /// then executes the recorded step.
+  /// binding, the dictionary-code translation, the residuals, and the
+  /// semi-join keep mask, then executes the recorded step. The chain
+  /// conditions fused as residuals are appended to `fused`.
   Status CompileAndExecuteJoin(Frame* frame, const VarCondition& c, int pick,
-                               double pick_est) {
+                               double pick_est, std::vector<int>* fused) {
     const bool lhs_bound = bound_[static_cast<size_t>(c.lhs.var)];
     const QAttr bound_attr = lhs_bound ? c.lhs : c.rhs;
     const QAttr new_attr = lhs_bound ? c.rhs : c.lhs;
@@ -1002,10 +1088,34 @@ class PlanningExecutor {
       st.probe_kind = PlanStep::ProbeKind::kBoxed;
     }
 
+    // Residuals: the unapplied chain conditions and decorations this join
+    // completes are checked inside the probe instead of as filter steps
+    // over the joined frame. Not while the new variable's forward-pivot
+    // range filter is pending: it applies the moment the variable binds,
+    // before any of its conditions.
+    if (!(pivot_filter_pending_ && new_var == pivot_var_)) {
+      for (size_t i = 0; i < joins_.size(); ++i) {
+        if (!join_applied_[i] &&
+            FuseResidual(*frame, joins_[i], new_var, &st)) {
+          join_applied_[i] = true;
+          fused->push_back(static_cast<int>(i));
+        }
+      }
+      for (size_t i = 0; i < extras_.size(); ++i) {
+        if (!extra_applied_[i] &&
+            FuseResidual(*frame, extras_[i], new_var, &st)) {
+          extra_applied_[i] = true;
+        }
+      }
+    }
+
     // In semi-join mode, columns whose variable is already doomed (the
-    // just-applied join was marked applied before this call, so NeededVars
-    // reflects the post-join state) are never gathered: they would be
-    // dropped by DropAndDedup right after the decorations run.
+    // just-applied join and its residuals were marked applied above, so
+    // NeededVars reflects the post-join state) are never gathered: they
+    // would be dropped by DropAndDedup right after the decorations run. An
+    // unneeded new variable makes the step an existence probe, which emits
+    // each (unique) pre-join tuple at most once — dedup is only due when an
+    // old slot is dropped.
     st.keep_slots.reserve(frame->ids.size());
     st.keep_new = true;
     if (dedup_frontier_) {
@@ -1018,7 +1128,6 @@ class PlanningExecutor {
         }
       }
       st.keep_new = needed[static_cast<size_t>(new_var)];
-      if (!st.keep_new) join_dropped_ = true;
     } else {
       for (size_t s = 0; s < frame->vars.size(); ++s) {
         st.keep_slots.push_back(static_cast<uint32_t>(s));

@@ -13,7 +13,10 @@
 //    no unapplied condition touches them, and the surviving row-id tuples
 //    are deduplicated in place — the row-id analog of the paper's "reducing
 //    result multiplicity" optimization (§3.2.1), without ever building a
-//    boxed row.
+//    boxed row. A binding join checks the var-var conditions it completes
+//    (its residuals) inside the probe; when the new variable is then no
+//    longer needed, the join is an existence probe that emits each probe
+//    row once, at its first surviving match.
 //
 //  - kBoxedReference: the original Row = std::vector<Value> implementation,
 //    retained as the equivalence oracle for tests and as the baseline for
@@ -124,8 +127,14 @@ struct ExecutorOptions {
 /// Counters describing the last execution (exposed for tests/benchmarks).
 struct ExecStats {
   size_t joins_executed = 0;
-  size_t rows_emitted = 0;       // total rows produced across all joins
-  size_t peak_intermediate = 0;  // max intermediate row count
+  /// Total tuples the joins put into the frame. A join checks its fused
+  /// residual conditions before emitting, so this counts the pairs that
+  /// survive them — and an existence probe emits at most one tuple per
+  /// probe row — not every hash match.
+  size_t rows_emitted = 0;
+  /// Largest frame (tuple count) between steps; join outputs count after
+  /// their fused residuals, as for rows_emitted.
+  size_t peak_intermediate = 0;
 
   /// One entry per applied chain condition, in application order.
   struct JoinStep {

@@ -40,6 +40,7 @@ size_t CompiledPlan::ApproxBytes() const {
   for (const PlanStep& st : steps) {
     bytes += st.translated_codes.capacity() * sizeof(int64_t);
     bytes += st.keep_slots.capacity() * sizeof(uint32_t);
+    bytes += st.residuals.capacity() * sizeof(PlanStep::Residual);
     bytes += st.drop_keep_slots.capacity() * sizeof(uint32_t);
     bytes += st.lit_string.capacity();
   }

@@ -75,9 +75,9 @@ namespace eba {
 /// recorded slots stay valid on every replay.
 struct PlanStep {
   enum class Kind : uint8_t {
-    kJoin,          // hash-probe binding a new tuple variable
-    kJoinFilter,    // chain condition whose sides were both already bound
-    kVarVarFilter,  // decoration between two bound attributes
+    kJoin,          // hash-probe binding a new tuple variable (+ residuals)
+    kJoinFilter,    // chain condition left out of its binding join's probe
+    kVarVarFilter,  // decoration left out of its binding join's probe
     kConstFilter,   // decoration against a pre-resolved literal
     kDrop,          // semi-join column drop (+ row-id tuple dedup)
     // Reverse semi-join delta steps (Executor::DistinctLidsJoinedTo). The
@@ -122,7 +122,25 @@ struct PlanStep {
   /// means previously unresolvable probe codes may now translate.
   size_t build_dict_size = 0;
   std::vector<uint32_t> keep_slots;       // surviving pre-join slots, in order
-  bool keep_new = true;                   // gather the newly bound column
+  /// Gather the newly bound column. False only in semi-join mode, once no
+  /// downstream condition or output needs the variable: the probe then
+  /// emits each probe row at most once (an existence probe).
+  bool keep_new = true;
+
+  /// A still-unapplied var-var condition the join makes fully bound, with
+  /// the new variable on at least one side. Checked per candidate match
+  /// inside the probe, before the pair reaches the frame. A side whose slot
+  /// is kNewVar reads the match's row id; any other slot indexes the
+  /// pre-join frame.
+  struct Residual {
+    static constexpr int kNewVar = -1;
+    int lhs_slot = kNewVar;
+    int rhs_slot = kNewVar;
+    const Column* lhs_col = nullptr;
+    const Column* rhs_col = nullptr;
+    CmpOp op = CmpOp::kEq;
+  };
+  std::vector<Residual> residuals;  // kJoin only
 
   // kJoinFilter / kVarVarFilter (kConstFilter uses the lhs side + op).
   int lhs_slot = -1;

@@ -30,6 +30,10 @@ constexpr size_t kInitialBucketCapacity = 4;
 
 }  // namespace
 
+// Never dereferenced: real buckets are word-aligned, so they never equal it.
+HashIndex::Bucket* const HashIndex::kSingleRow =
+    reinterpret_cast<HashIndex::Bucket*>(uintptr_t{1});
+
 HashIndex::Bucket* HashIndex::NewBucket(size_t capacity) {
   void* mem = ::operator new(sizeof(Bucket) + capacity * sizeof(uint32_t));
   return new (mem) Bucket(capacity);
@@ -76,7 +80,7 @@ HashIndex::~HashIndex() {
   if (dir == nullptr) return;
   for (size_t i = 0; i <= dir->mask; ++i) {
     Bucket* b = dir->slots[i].bucket.load(std::memory_order_relaxed);
-    if (b != nullptr) FreeBucket(b);
+    if (b != nullptr && b != kSingleRow) FreeBucket(b);
   }
   delete dir;
   // Superseded buckets/directories were retired to the EpochManager and
@@ -90,20 +94,38 @@ void HashIndex::InsertInt(int64_t key, uint32_t row) {
     Slot& slot = dir->slots[i];
     Bucket* b = slot.bucket.load(std::memory_order_relaxed);
     if (b == nullptr) {
-      // Claim the empty slot: key first; the release store of the bucket
-      // publishes the key and the first row together.
+      // Claim the empty slot: key and row first; the release store of the
+      // tag publishes them together.
       slot.key = key;
-      Bucket* fresh = NewBucket(kInitialBucketCapacity);
-      fresh->rows()[0] = row;
-      fresh->size.store(1, std::memory_order_relaxed);
-      slot.bucket.store(fresh, std::memory_order_release);
+      slot.single_row = row;
+      slot.bucket.store(kSingleRow, std::memory_order_release);
       num_int_keys_.Increment();
       // Keep the load factor below 3/4 (int keys only; doubles live in
       // the boxed map).
-      if (num_int_keys_.Load() * 4 > (dir->mask + 1) * 3) GrowDirectory();
+      const size_t keys = num_int_keys_.Load();
+      if (keys * 4 > (dir->mask + 1) * 3) {
+        // Size for the keys the rest of the fold will likely add, assuming
+        // the distinct ratio seen so far holds: a mostly-unique column
+        // grows once instead of once per doubling.
+        const size_t expected = static_cast<size_t>(
+            static_cast<double>(keys) * static_cast<double>(fold_target_) /
+            static_cast<double>(row + 1));
+        GrowDirectory(std::max((dir->mask + 1) * 2,
+                               RoundUpPow2(expected / 3 * 4 + 1)));
+      }
       return;
     }
     if (slot.key == key) {
+      if (b == kSingleRow) {
+        // Second row: move both into a bucket. The slot keeps its row, so
+        // a reader still holding the one-row span stays valid.
+        Bucket* fresh = NewBucket(kInitialBucketCapacity);
+        fresh->rows()[0] = slot.single_row;
+        fresh->rows()[1] = row;
+        fresh->size.store(2, std::memory_order_relaxed);
+        slot.bucket.store(fresh, std::memory_order_release);
+        return;
+      }
       const size_t n = b->size.load(std::memory_order_relaxed);
       if (n == b->capacity) {
         // Grow by copy: a reader still holding the old bucket keeps a
@@ -124,9 +146,9 @@ void HashIndex::InsertInt(int64_t key, uint32_t row) {
   }
 }
 
-void HashIndex::GrowDirectory() {
+void HashIndex::GrowDirectory(size_t capacity) {
   Dir* old = dir_.load(std::memory_order_relaxed);
-  Dir* fresh = new Dir((old->mask + 1) * 2);
+  Dir* fresh = new Dir(capacity);
   // Private rebuild: no reader sees `fresh` until the release store below,
   // so plain stores suffice. Bucket allocations are shared, not copied —
   // a reader probing the old directory reaches the same (or a retired but
@@ -141,6 +163,7 @@ void HashIndex::GrowDirectory() {
       j = (j + 1) & fresh->mask;
     }
     fresh->slots[j].key = key;
+    fresh->slots[j].single_row = old->slots[i].single_row;
     fresh->slots[j].bucket.store(b, std::memory_order_relaxed);
   }
   dir_.store(fresh, std::memory_order_release);
@@ -154,6 +177,7 @@ void HashIndex::ExtendTo(size_t num_rows) {
   const size_t target = std::min(num_rows, column_->size());
   const size_t from = indexed_rows_.LoadRelaxed();
   if (target <= from) return;
+  fold_target_ = target;
   if (column_->IsIntLike() || column_->IsString()) {
     // Chunk-aware fold: the span callback hands a raw per-chunk payload
     // array (int values or dictionary codes), so the inner loop indexes a
@@ -189,6 +213,7 @@ RowIdSpan HashIndex::LookupInt64(int64_t key) const {
     // this key cannot be stored past an empty slot on its probe path.
     if (b == nullptr) return RowIdSpan{};
     if (slot.key == key) {
+      if (b == kSingleRow) return RowIdSpan{&slot.single_row, 1};
       return RowIdSpan{b->rows(), b->size.load(std::memory_order_acquire)};
     }
     i = (i + 1) & dir->mask;

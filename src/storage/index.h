@@ -9,27 +9,32 @@
 // never indexed — a NULL join key matches nothing, mirroring SQL equi-join
 // semantics.
 //
-// Layout: an open-addressing directory of {key, bucket*} slots probed with
-// linear probing, where each bucket is a single allocation holding the
-// key's row ids in ascending order behind a release-published count.
-// Readers are entirely lock-free:
+// Layout: an open-addressing directory of {key, single_row, bucket*} slots
+// probed with linear probing. A key with one row keeps it in the slot, with
+// the bucket pointer set to a tag; a second row moves the key to a bucket,
+// a single allocation holding the key's row ids in ascending order behind a
+// release-published count. Readers are entirely lock-free:
 //
 //   * An empty (null-bucket) slot is a stop sentinel. Linear probing
 //     without deletions makes this sound: if a reader's key were stored
 //     beyond an empty slot on its probe path, that slot must have been
 //     occupied when the key was inserted — slots never empty out.
-//   * The mutator writes a slot's key before release-publishing its bucket
-//     pointer, so a reader that observes the bucket also observes the key.
+//   * The mutator writes a slot's key and single row before
+//     release-publishing its bucket pointer (or tag), so a reader that
+//     observes the pointer also observes both. Neither is rewritten after,
+//     so a one-row span stays valid when the key later moves to a bucket.
 //   * Buckets grow by copy: the mutator builds a larger bucket, publishes
 //     it in the slot, and retires the old one to the EpochManager. A
 //     reader still iterating the old bucket sees a complete prefix — every
 //     row id below the watermark at which the reader obtained the index
 //     was already in it.
-//   * The directory grows the same way (private rebuild moving bucket
-//     pointers, release publish, retire). Keys inserted only into the new
-//     directory first occur in rows past any older reader's bound, so a
-//     miss in a stale directory is still a correct (empty-after-clamp)
-//     answer.
+//   * The directory grows the same way (private rebuild moving slots,
+//     release publish, retire). It grows to fit the keys the running fold
+//     is expected to add at the distinct ratio seen so far, so a
+//     mostly-unique column is rehashed once, not once per doubling. Keys
+//     inserted only into the new directory first occur in rows past any
+//     older reader's bound, so a miss in a stale directory is still a
+//     correct (empty-after-clamp) answer.
 //
 // Every lookup returns rows in ascending order; snapshot readers clamp the
 // span to their pinned watermark with RowIdSpan::ClampTo, which is how one
@@ -140,8 +145,12 @@ class HashIndex {
     }
   };
 
+  /// A key with one row keeps it in `single_row`, with `bucket` set to the
+  /// kSingleRow tag: a mostly-unique column (log ids) costs no bucket
+  /// allocation per key.
   struct Slot {
-    int64_t key = 0;  // written before `bucket` is published
+    int64_t key = 0;          // written before `bucket` is published
+    uint32_t single_row = 0;  // ditto; neither is rewritten after
     std::atomic<Bucket*> bucket{nullptr};
   };
 
@@ -155,16 +164,21 @@ class HashIndex {
     std::unique_ptr<Slot[]> slots;
   };
 
+  /// The `bucket` tag of a slot holding its key's only row.
+  static Bucket* const kSingleRow;
+
   static Bucket* NewBucket(size_t capacity);
   static void FreeBucket(Bucket* b);
   template <typename T>
   void Retire(T* p);
 
   void InsertInt(int64_t key, uint32_t row);
-  void GrowDirectory();
+  /// Moves the slots into a directory of `capacity` (a power of two).
+  void GrowDirectory(size_t capacity);
 
   const Column* column_;
   PublishedSize indexed_rows_;
+  size_t fold_target_ = 0;  // the running ExtendTo folds rows below this
   std::atomic<Dir*> dir_{nullptr};
   AtomicCounter num_int_keys_;
   EpochManager* epochs_ = nullptr;

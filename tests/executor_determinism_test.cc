@@ -128,6 +128,38 @@ TEST(ExecutorDeterminismTest, ExplainAllReportIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ExecutorDeterminismTest, RepeatAccessIdenticalAcrossThreadsAndOracle) {
+  // The Log x Log self-join: the Patient probe carries User equality and
+  // the Date theta as residuals and, for DistinctLids, exits at the first
+  // surviving match. Declared order makes Materialize row order comparable
+  // with the boxed oracle's.
+  CareWebData data = UnwrapOrDie(GenerateCareWeb(CareWebConfig::Tiny()));
+  const PathQuery q = UnwrapOrDie(TemplateRepeatAccess(data.db)).query();
+  const QAttr lid_attr{0, UnwrapOrDie(data.db.GetTable("Log"))
+                              ->schema()
+                              .ColumnIndex("Lid")};
+  ExecutorOptions boxed;
+  boxed.engine = ExecutorOptions::Engine::kBoxedReference;
+  boxed.join_order = ExecutorOptions::JoinOrder::kDeclared;
+  Executor reference(&data.db, boxed);
+  const std::vector<int64_t> ref_lids =
+      UnwrapOrDie(reference.DistinctLids(q, lid_attr));
+  const Relation ref_rel = UnwrapOrDie(reference.Materialize(q));
+  ASSERT_FALSE(ref_lids.empty());
+  for (size_t threads : {1, 2, 4, 8}) {
+    ExecutorOptions options = Threaded(threads);
+    options.join_order = ExecutorOptions::JoinOrder::kDeclared;
+    Executor late(&data.db, options);
+    EXPECT_EQ(UnwrapOrDie(late.DistinctLids(q, lid_attr)), ref_lids)
+        << "threads " << threads;
+    EXPECT_EQ(late.last_stats().rows_emitted, ref_lids.size())
+        << "threads " << threads;
+    const Relation rel = UnwrapOrDie(late.Materialize(q));
+    EXPECT_EQ(rel.attrs, ref_rel.attrs);
+    EXPECT_EQ(rel.rows, ref_rel.rows) << "threads " << threads;
+  }
+}
+
 // --------------------------- Plan cache tests ---------------------------
 
 class PlanCacheTest : public ::testing::Test {
@@ -253,6 +285,51 @@ TEST_F(PlanCacheTest, AppendToLogRebindsAndSeesNewRows) {
       UnwrapOrDie(fresh.MaterializeForLogIds(q, Lid(), new_lid));
   EXPECT_EQ(cached_rel.rows, fresh_rel.rows);
   EXPECT_FALSE(cached_rel.rows.empty());
+}
+
+TEST_F(PlanCacheTest, FusedPlanRebindEqualsFreshPlan) {
+  // A self-join whose probe carries a chain residual and a theta residual.
+  const PathQuery q = UnwrapOrDie(ParsePathQuery(
+      db_, "Log L, Log L2",
+      "L.Patient = L2.Patient AND L2.User = L.User AND L.Date > L2.Date"));
+  Executor cached(&db_, Cached());
+  EXPECT_EQ(UnwrapOrDie(cached.DistinctLids(q, Lid())),
+            (std::vector<int64_t>{}));
+  (void)UnwrapOrDie(cached.Materialize(q));
+
+  // Dave reads Alice's record again: lid 3 is explained by lid 1.
+  Table* log = db_.GetTable("Log").value();
+  EBA_ASSERT_OK(log->AppendRow(
+      {Value::Int64(3),
+       Value::Timestamp(Date::FromCivil(2010, 3, 3, 9, 0, 0).ToSeconds()),
+       Value::Int64(testing_util::kDave), Value::Int64(testing_util::kAlice),
+       Value::String("viewed record")}));
+
+  Executor fresh(&db_);
+  auto expect_same_stats = [](const ExecStats& a, const ExecStats& b) {
+    ASSERT_EQ(a.join_order.size(), b.join_order.size());
+    for (size_t i = 0; i < a.join_order.size(); ++i) {
+      EXPECT_EQ(a.join_order[i].condition_index,
+                b.join_order[i].condition_index);
+      EXPECT_EQ(a.join_order[i].is_filter, b.join_order[i].is_filter);
+      EXPECT_EQ(a.join_order[i].rows_after, b.join_order[i].rows_after);
+    }
+    EXPECT_EQ(a.rows_emitted, b.rows_emitted);
+  };
+  const std::vector<int64_t> after = UnwrapOrDie(cached.DistinctLids(q, Lid()));
+  EXPECT_TRUE(cached.last_stats().plan_cache_hit);
+  EXPECT_EQ(cached.last_stats().plan_rebinds, 1u);
+  EXPECT_EQ(after, (std::vector<int64_t>{3}));
+  EXPECT_EQ(after, UnwrapOrDie(fresh.DistinctLids(q, Lid())));
+  expect_same_stats(cached.last_stats(), fresh.last_stats());
+
+  const Relation cached_rel = UnwrapOrDie(cached.Materialize(q));
+  EXPECT_TRUE(cached.last_stats().plan_cache_hit);
+  EXPECT_EQ(cached.last_stats().plan_rebinds, 2u);
+  const Relation fresh_rel = UnwrapOrDie(fresh.Materialize(q));
+  EXPECT_EQ(cached_rel.rows, fresh_rel.rows);
+  EXPECT_EQ(cached_rel.rows.size(), 1u);
+  expect_same_stats(cached.last_stats(), fresh.last_stats());
 }
 
 TEST_F(PlanCacheTest, StructuralMutationStillInvalidates) {

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "careweb/generator.h"
 #include "careweb/workload.h"
+#include "common/date.h"
 #include "common/random.h"
 #include "core/engine.h"
 #include "graph/schema_graph.h"
@@ -370,6 +372,238 @@ TEST_F(SemiJoinTest, MaterializeForLogIdsMatchesReference) {
   Relation late_rel = UnwrapOrDie(late.MaterializeForLogIds(q, Lid(), lids));
   EXPECT_EQ(ref_rel.attrs, late_rel.attrs);
   EXPECT_EQ(ref_rel.rows, late_rel.rows);
+}
+
+// ------------------ Join residuals and existence probes ------------------
+
+/// A small hospital whose residual columns (User, Date, Action, Doctor,
+/// Note) all hold NULLs, with several appointment paths per log row so a
+/// join can both drop an old slot and run as an existence probe.
+class ResidualTest : public ::testing::Test {
+ protected:
+  ResidualTest() {
+    auto must = [](const Status& s) { EBA_CHECK_MSG(s.ok(), s.ToString()); };
+    must(db_.CreateTable(AccessLog::StandardSchema("Log")));
+    must(db_.CreateTable(TableSchema(
+        "Appt", {ColumnDef{"Patient", DataType::kInt64, "patient", false},
+                 ColumnDef{"Doctor", DataType::kInt64, "user", false},
+                 ColumnDef{"Date", DataType::kTimestamp, "", false},
+                 ColumnDef{"Note", DataType::kString, "", false}})));
+    must(db_.CreateTable(TableSchema(
+        "Dept", {ColumnDef{"Doctor", DataType::kInt64, "user", false},
+                 ColumnDef{"Department", DataType::kInt64, "dept", false}})));
+    Random rng(0x5eed0003);
+    const int64_t base = Date::FromCivil(2010, 1, 1).ToSeconds();
+    const char* const actions[] = {"view", "edit", "print"};
+    auto maybe_null = [&](double p, Value v) {
+      return rng.Bernoulli(p) ? Value::Null() : std::move(v);
+    };
+    auto date = [&] {
+      return Value::Timestamp(base + rng.UniformRange(0, 20) * 3600);
+    };
+    auto action = [&] { return Value::String(actions[rng.Uniform(3)]); };
+    Table* log = db_.GetTable("Log").value();
+    for (int64_t lid = 1; lid <= 80; ++lid) {
+      const Value user = Value::Int64(rng.UniformRange(10, 14));
+      must(log->AppendRow({Value::Int64(lid), maybe_null(0.15, date()),
+                           maybe_null(0.1, user),
+                           Value::Int64(rng.UniformRange(1, 5)),
+                           maybe_null(0.1, action())}));
+    }
+    Table* appt = db_.GetTable("Appt").value();
+    for (int i = 0; i < 30; ++i) {
+      must(appt->AppendRow(
+          {Value::Int64(rng.UniformRange(1, 5)),
+           maybe_null(0.1, Value::Int64(rng.UniformRange(10, 14))),
+           maybe_null(0.15, date()), maybe_null(0.2, action())}));
+    }
+    // Doctor 10 sits in two departments; doctor 14's department is unknown.
+    Table* dept = db_.GetTable("Dept").value();
+    for (int64_t d : {10, 10, 11, 12, 13, 14}) {
+      const Value department = d == 14 ? Value::Null() : Value::Int64(d % 2);
+      must(dept->AppendRow({Value::Int64(d), department}));
+    }
+    must(dept->AppendRow({Value::Int64(10), Value::Int64(7)}));
+  }
+
+  PathQuery Query(const std::string& from, const std::string& where) {
+    return UnwrapOrDie(ParsePathQuery(db_, from, where));
+  }
+  QAttr Lid() { return QAttr{0, 0}; }
+
+  /// The bare Patient joins the residual queries extend.
+  PathQuery SelfOnPatient() {
+    return Query("Log L, Log L2", "L.Patient = L2.Patient");
+  }
+  PathQuery ApptOnPatient() {
+    return Query("Log L, Appt A", "L.Patient = A.Patient");
+  }
+
+  /// rows_emitted of a declared-order Materialize run.
+  size_t MaterializeEmitted(const PathQuery& q) {
+    Executor late(&db_, LateDeclared());
+    (void)UnwrapOrDie(late.Materialize(q));
+    return late.last_stats().rows_emitted;
+  }
+
+  Database db_;
+};
+
+TEST_F(ResidualTest, SelfJoinWithThetaOnNewVariableMatchesReference) {
+  const PathQuery repeat = Query(
+      "Log L, Log L2",
+      "L.Patient = L2.Patient AND L2.User = L.User AND L.Date > L2.Date");
+  ExpectEquivalent(db_, repeat, Lid());
+  ExpectEquivalent(db_,
+                   Query("Log L, Log L2",
+                         "L.Patient = L2.Patient AND L.Action = L2.Action AND "
+                         "L.Date <= L2.Date"),
+                   Lid());
+
+  // The chain condition and the theta decoration run inside the probe, and
+  // the existence probe emits each explained log row exactly once.
+  Executor late(&db_, LateDeclared());
+  const std::vector<int64_t> lids =
+      UnwrapOrDie(late.DistinctLids(repeat, Lid()));
+  ASSERT_FALSE(lids.empty());
+  const ExecStats& stats = late.last_stats();
+  ASSERT_EQ(stats.join_order.size(), 2u);
+  EXPECT_FALSE(stats.join_order[0].is_filter);
+  EXPECT_TRUE(stats.join_order[1].is_filter);
+  EXPECT_EQ(stats.join_order[1].condition_index, 1);
+  EXPECT_EQ(stats.rows_emitted, lids.size());
+  EXPECT_EQ(stats.join_order.back().rows_after, lids.size());
+
+  // Materialize keeps every surviving pair: nothing is filtered after the
+  // probe, so the probe emits exactly the materialized rows.
+  const Relation rel = UnwrapOrDie(late.Materialize(repeat));
+  EXPECT_EQ(late.last_stats().rows_emitted, rel.rows.size());
+  EXPECT_LT(rel.rows.size(), MaterializeEmitted(SelfOnPatient()));
+}
+
+TEST_F(ResidualTest, NullsInResidualColumnsMatchReference) {
+  ExpectEquivalent(db_,
+                   Query("Log L, Appt A",
+                         "L.Patient = A.Patient AND A.Doctor = L.User AND "
+                         "A.Date < L.Date"),
+                   Lid());
+  ExpectEquivalent(db_,
+                   Query("Log L, Appt A",
+                         "L.Patient = A.Patient AND A.Date >= L.Date"),
+                   Lid());
+  ExpectEquivalent(db_,
+                   Query("Log L, Log L2",
+                         "L.Patient = L2.Patient AND L2.Date >= L.Date AND "
+                         "L2.User <= L.User"),
+                   Lid());
+}
+
+TEST_F(ResidualTest, StringComparisonsOffRawPayloadsStayUnfused) {
+  // A cross-column string equality and a string ordering compare decoded
+  // dictionary strings, not raw payloads: they run as filter steps after
+  // the join, so the probe emits every Patient pair.
+  const PathQuery cross = Query(
+      "Log L, Appt A", "L.Patient = A.Patient AND L.Action = A.Note");
+  const PathQuery ordered = Query(
+      "Log L, Log L2", "L.Patient = L2.Patient AND L.Action < L2.Action");
+  ExpectEquivalent(db_, cross, Lid());
+  ExpectEquivalent(db_, ordered, Lid());
+  EXPECT_EQ(MaterializeEmitted(cross), MaterializeEmitted(ApptOnPatient()));
+  EXPECT_EQ(MaterializeEmitted(ordered), MaterializeEmitted(SelfOnPatient()));
+
+  // Same-column string equality compares dictionary codes and is fused.
+  const PathQuery same = Query(
+      "Log L, Log L2", "L.Patient = L2.Patient AND L.Action = L2.Action");
+  ExpectEquivalent(db_, same, Lid());
+  EXPECT_LT(MaterializeEmitted(same), MaterializeEmitted(SelfOnPatient()));
+}
+
+TEST_F(ResidualTest, ExistenceProbeThatDropsAnOldSlotStillDedups) {
+  // Declared order: A binds, D1 binds (A is dropped), then D2 binds with
+  // D2.Doctor = L.User as its residual — D1 is dropped and D2 is never
+  // needed, so that probe is an existence probe over (L, D1) tuples whose
+  // L may repeat across departments.
+  const PathQuery q = Query(
+      "Log L, Appt A, Dept D1, Dept D2",
+      "L.Patient = A.Patient AND A.Doctor = D1.Doctor AND "
+      "D1.Department = D2.Department AND D2.Doctor = L.User");
+  ExpectEquivalent(db_, q, Lid());
+
+  Executor late(&db_, LateDeclared());
+  const std::vector<int64_t> lids = UnwrapOrDie(late.DistinctLids(q, Lid()));
+  ASSERT_FALSE(lids.empty());
+  // Precondition: some explained row has several witnesses.
+  Executor reference(&db_, BoxedReference());
+  PathQuery projected = q;
+  projected.projection = {Lid()};
+  ASSERT_GT(UnwrapOrDie(reference.Materialize(projected)).rows.size(),
+            lids.size());
+  // Lids are unique per row here, so a deduplicated final frame holds
+  // exactly one tuple per explained lid.
+  EXPECT_EQ(late.last_stats().join_order.back().rows_after, lids.size());
+}
+
+TEST_F(ResidualTest, ExplainAllClassifiesDuplicateAndSparseLids) {
+  const std::vector<std::pair<std::string, std::string>> templates = {
+      {"Log L, Appt A", "L.Patient = A.Patient AND A.Doctor = L.User"},
+      {"Log L, Log L2",
+       "L.Patient = L2.Patient AND L2.User = L.User AND L.Date > L2.Date"},
+      {"Log L, Log L2", "L.Patient = L2.Patient AND L2.Lid > L.Lid"},
+  };
+  ExplanationEngine engine =
+      UnwrapOrDie(ExplanationEngine::Create(&db_, "Log"));
+  for (size_t i = 0; i < templates.size(); ++i) {
+    EBA_ASSERT_OK(engine.AddTemplate(UnwrapOrDie(ExplanationTemplate::Parse(
+        db_, "t" + std::to_string(i), templates[i].first,
+        templates[i].second, "explained"))));
+  }
+  Table* log = db_.GetTable("Log").value();
+  auto append = [&](int64_t lid) {
+    return log->AppendRow({Value::Int64(lid), Value::Null(), Value::Int64(11),
+                           Value::Int64(2), Value::String("view")});
+  };
+  // The report must equal a classification of every log row against the
+  // union of the reference engine's per-template lids.
+  auto expect_report_matches_reference = [&](const std::string& what) {
+    Executor reference(&db_, BoxedReference());
+    std::set<int64_t> explained;
+    for (const auto& t : templates) {
+      for (int64_t lid : UnwrapOrDie(
+               reference.DistinctLids(Query(t.first, t.second), Lid()))) {
+        explained.insert(lid);
+      }
+    }
+    std::vector<int64_t> want_explained, want_unexplained;
+    const Column& lids = log->column(0);
+    for (size_t r = 0; r < log->num_rows(); ++r) {
+      (explained.count(lids.Int64At(r)) ? want_explained : want_unexplained)
+          .push_back(lids.Int64At(r));
+    }
+    std::sort(want_explained.begin(), want_explained.end());
+    std::sort(want_unexplained.begin(), want_unexplained.end());
+    for (size_t threads : {1, 4}) {
+      ExplainAllOptions options;
+      options.num_threads = threads;
+      options.min_rows_per_shard = 1;
+      const ExplanationReport report = UnwrapOrDie(engine.ExplainAll(options));
+      EXPECT_EQ(report.explained_lids, want_explained) << what << threads;
+      EXPECT_EQ(report.unexplained_lids, want_unexplained) << what << threads;
+    }
+  };
+
+  // Lid 3 duplicated in the log, after larger lids: the classifying merge
+  // must restart from the front of the explained set.
+  EBA_ASSERT_OK(append(3));
+  expect_report_matches_reference("duplicate ");
+  // Two far-away lids: 2^40 is explained (2^41 comes later for the same
+  // patient), which spreads the explained set far beyond the log size.
+  EBA_ASSERT_OK(append(int64_t{1} << 40));
+  EBA_ASSERT_OK(append(int64_t{1} << 41));
+  expect_report_matches_reference("sparse ");
+  // A negative lid below every other, then lids ascending again.
+  EBA_ASSERT_OK(append(-7));
+  EBA_ASSERT_OK(append(5));
+  expect_report_matches_reference("descending ");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -402,10 +403,20 @@ TEST(AuditServerTest, SeededAdversarialFrameFuzz) {
   // The server survived 200 adversarial connections and still works. A
   // fresh client connected after the loop sits behind all 200 in the accept
   // queue, so a successful round trip on it proves every one was accepted
-  // and handled (the counter assertion is race-free only then).
-  auto fresh = UnwrapOrDie(
-      AuditClient::Connect(h.net.get(), "local", h.server->port(), ""));
-  EBA_ASSERT_OK(fresh->AppendAccessBatch({SharedFixture().backlog[1]}));
+  // and handled (the counter assertion is race-free only then). Handlers of
+  // the dropped connections may still be exiting when it is accepted, so
+  // the server can turn it away with a retryable connection-limit BUSY;
+  // like any client, it reconnects and retries.
+  std::unique_ptr<AuditClient> fresh;
+  Status appended;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    fresh = UnwrapOrDie(
+        AuditClient::Connect(h.net.get(), "local", h.server->port(), ""));
+    appended = fresh->AppendAccessBatch({SharedFixture().backlog[1]});
+    if (!AuditClient::IsRetryableBusy(appended)) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EBA_ASSERT_OK(appended);
   const ServerReport report = UnwrapOrDie(fresh->Report());
   EXPECT_GT(report.connections_accepted, 200u);
 }
@@ -445,20 +456,16 @@ TEST(AuditServerTest, FullIngestQueueRejectsRetryablyThenRecovers) {
   std::thread fill([&] {
     EBA_ASSERT_OK(filler->AppendAccessBatch({f.backlog[0]}));
   });
-  // Wait until the slot is taken (the filler thread enqueued).
-  for (;;) {
-    const ServerReport r = UnwrapOrDie(h.client().Report());
-    (void)r;
-    const Status busy_probe = h.client().AppendAccessBatch({f.backlog[1]});
-    if (!busy_probe.ok()) {
-      EXPECT_TRUE(AuditClient::IsRetryableBusy(busy_probe))
-          << busy_probe.ToString();
-      break;
-    }
-    // Both probes got in before the filler: drain and retry.
-    h.server->ResumeIngestForTest();
-    h.server->PauseIngestForTest();
+  // Wait until the filler's batch holds the slot. Probing earlier could
+  // let the probe take the slot itself and block on an ack the paused
+  // ingest thread never sends.
+  while (h.server->PendingAppendsForTest() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  const Status busy_probe = h.client().AppendAccessBatch({f.backlog[1]});
+  EXPECT_FALSE(busy_probe.ok());
+  EXPECT_TRUE(AuditClient::IsRetryableBusy(busy_probe))
+      << busy_probe.ToString();
   h.server->ResumeIngestForTest();
   fill.join();
 

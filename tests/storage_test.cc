@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -163,6 +164,40 @@ TEST(IndexTest, DoubleColumnFallback) {
   HashIndex idx(&col);
   EXPECT_EQ(idx.Lookup(Value::Double(1.5), col.size()).size(), 2u);
   EXPECT_EQ(idx.NumDistinctKeys(), 2u);
+}
+
+TEST(IndexTest, SingleRowKeysMoveToBucketsAcrossGrowth) {
+  // Mostly-unique keys (single-row slots, and a directory sized from the
+  // distinct ratio) with every 7th key repeating an earlier one (a second
+  // row moves the key to a bucket), built in one go and then extended in
+  // uneven steps; every lookup must equal a reference multimap.
+  Column c(DataType::kInt64);
+  std::map<int64_t, std::vector<uint32_t>> want;
+  auto append = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row = static_cast<uint32_t>(c.size());
+      const int64_t key = row % 7 == 6 ? int64_t{row} / 3 : int64_t{row} * 5;
+      c.AppendInt64(key);
+      want[key].push_back(row);
+    }
+  };
+  auto expect_matches = [&](const HashIndex& index) {
+    EXPECT_EQ(index.NumDistinctKeys(), want.size());
+    for (const auto& [key, rows] : want) {
+      const RowIdSpan span = index.LookupInt64(key);
+      EXPECT_EQ(std::vector<uint32_t>(span.begin(), span.end()), rows)
+          << "key " << key;
+    }
+    EXPECT_TRUE(index.LookupInt64(-1).empty());
+  };
+  append(3000);
+  HashIndex index(&c);
+  expect_matches(index);
+  for (size_t step : {1, 2, 500, 9000}) {
+    append(step);
+    index.ExtendTo(c.size());
+    expect_matches(index);
+  }
 }
 
 // --------------------------- Statistics ---------------------------
