@@ -82,6 +82,12 @@ ABSOLUTE_FLOORS = {
     "durability.durable_serving_relative_throughput": 0.75,
     "benchmarks.durability.recovery_speedup_vs_full_reaudit": 10.0,
     "durability.recovery_speedup_vs_full_reaudit": 10.0,
+    # bench_scaling: a from-row-0 ExplainNew must cost at most 1.5x a full
+    # ExplainAll at one thread (1-thread ExplainAll seconds / ExplainNew
+    # seconds >= 0.67), so the streaming and batch audit paths stay at one
+    # cost.
+    "benchmarks.scaling_summary.explain_new_vs_all_1_thread": 0.67,
+    "scaling_summary.explain_new_vs_all_1_thread": 0.67,
 }
 
 # Saturated ratios: the numerator (a full re-audit) is tens of ms while the
@@ -109,6 +115,9 @@ SATURATED_METRICS = {
     "benchmarks.streaming.concurrent_ingest"
     ".concurrent_append_relative_throughput",
     "streaming.concurrent_ingest.concurrent_append_relative_throughput",
+    # And again: two single-threaded audit timings whose ratio sits near 1.
+    "benchmarks.scaling_summary.explain_new_vs_all_1_thread",
+    "scaling_summary.explain_new_vs_all_1_thread",
 }
 
 # Concurrency floors only gate when the *current* run had at least this many

@@ -199,6 +199,36 @@ class GoodInputs(GateFixture):
         self.assertIn("recovery_speedup_vs_full_reaudit",
                       result.stdout + result.stderr)
 
+    def scaling_bench(self, new_vs_all):
+        return {
+            "generated_by": "bench_scaling",
+            "machine": {"num_cores": 4},
+            "benchmarks": {
+                "scaling_summary": {
+                    "explain_all_coverage": 0.72,
+                    "speedup_threads_4_vs_1": 3.0,
+                    "explain_new_vs_all_1_thread": new_vs_all,
+                    "matches_full_explain_all": True,
+                },
+            },
+        }
+
+    def test_explain_new_cost_ratio_is_absolute_only(self):
+        # 1.10 -> 0.70 is a large relative drop but above the 0.67 floor:
+        # the ratio of two 1-thread audit timings is gated absolutely only.
+        base = self.write_json("base.json", self.scaling_bench(1.10))
+        cur = self.write_json("cur.json", self.scaling_bench(0.70))
+        result = self.run_gate(base, cur)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_explain_new_cost_ratio_floor_fails(self):
+        base = self.write_json("base.json", self.scaling_bench(1.10))
+        cur = self.write_json("cur.json", self.scaling_bench(0.40))
+        result = self.run_gate(base, cur)
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assertIn("explain_new_vs_all_1_thread",
+                      result.stdout + result.stderr)
+
     def test_recovered_equivalence_flag_flip_fails(self):
         base = self.write_json("base.json", good_bench())
         cur = self.write_json("cur.json", good_bench(recovered_matches=False))

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -21,6 +22,14 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// `*acc` = `*acc` ∪ `add`, both sorted and distinct.
+void UnionInto(std::vector<int64_t>* acc, const std::vector<int64_t>& add) {
+  const auto mid = static_cast<std::ptrdiff_t>(acc->size());
+  acc->insert(acc->end(), add.begin(), add.end());
+  std::inplace_merge(acc->begin(), acc->begin() + mid, acc->end());
+  acc->erase(std::unique(acc->begin(), acc->end()), acc->end());
 }
 
 }  // namespace
@@ -117,6 +126,7 @@ void StreamingAuditor::ResetAudit() {
 void StreamingAuditor::ResetAuditLocked() {
   explained_.clear();
   audited_rows_ = 0;
+  prefix_max_lid_.reset();
 }
 
 Status StreamingAuditor::EnableDurability(const DurabilityOptions& options) {
@@ -163,8 +173,7 @@ Status StreamingAuditor::CheckpointLocked(bool full) {
 
   AuditState audit;
   audit.audited_rows = audited_rows_;
-  audit.explained_lids.assign(explained_.begin(), explained_.end());
-  std::sort(audit.explained_lids.begin(), audit.explained_lids.end());
+  audit.explained_lids = explained_.ToSortedVector();
   // Watermarks as of the last completed audit (snapshot_), NOT current row
   // counts: rows appended since the last audit must re-surface as drift
   // after recovery or the delta pass would silently skip them.
@@ -195,16 +204,15 @@ Status StreamingAuditor::CheckpointLocked(bool full) {
   return Status::OK();
 }
 
-Status StreamingAuditor::AdoptRecoveredState(const CheckpointContents& ckpt,
+Status StreamingAuditor::AdoptRecoveredState(CheckpointContents&& ckpt,
                                              Env* env,
                                              const DurabilityOptions& options,
                                              uint64_t new_wal_seq) {
   MutexLock audit_lock(*audit_mu_);
   MutexLock writer_lock(*writer_mu_);
-  explained_.reserve(ckpt.audit.explained_lids.size());
-  explained_.insert(ckpt.audit.explained_lids.begin(),
-                    ckpt.audit.explained_lids.end());
+  explained_.Insert(std::move(ckpt.audit.explained_lids));
   audited_rows_ = static_cast<size_t>(ckpt.audit.audited_rows);
+  prefix_max_lid_.reset();  // derived by the converging ExplainNew
   // Current generation/epochs (the recovered tables are this auditor's
   // reality now) but the *checkpointed* audit watermarks, so appends that
   // happened after the last audit — checkpointed rows and replayed WAL rows
@@ -355,7 +363,8 @@ StatusOr<StreamingAuditor> StreamingAuditor::RecoverFrom(
 
   EBA_ASSIGN_OR_RETURN(StreamingAuditor auditor, Create(db, log_table));
   EBA_RETURN_IF_ERROR(
-      auditor.AdoptRecoveredState(ckpt, env, options, max_wal_seq + 1));
+      auditor.AdoptRecoveredState(std::move(ckpt), env, options,
+                                  max_wal_seq + 1));
   return auditor;
 }
 
@@ -411,34 +420,47 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
   report.per_template_counts.assign(templates.size(), 0);
   report.per_template_delta_counts.assign(templates.size(), 0);
 
-  // --- New lids, in row order (sharded scan, shard-ordered merge). ---
-  // Shards hold absolute row ids aligned to column-chunk boundaries (the
-  // append watermark `from` is rarely chunk-aligned; the first shard
-  // absorbs the unaligned head).
-  std::vector<ShardRange> shards = SplitShardsAlignedRange(
-      from, to, threads, options.min_rows_per_shard, kColumnChunkRows);
-  std::vector<std::vector<int64_t>> shard_lids(shards.size());
-  ParallelFor(pool, shards.size(), [&](size_t s) {
-    shard_lids[s].reserve(shards[s].end - shards[s].begin);
-    for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-      shard_lids[s].push_back(log.Get(r).lid);
-    }
-  });
+  // --- New lids, sorted and distinct; evaluation shards are row ranges
+  // --- aligned to column chunks (the first absorbs an unaligned head).
+  const Column& lid_col = table->column(static_cast<size_t>(log.lid_col()));
   std::vector<int64_t> new_lids;
   new_lids.reserve(to - from);
-  std::unordered_set<int64_t> new_lid_set;
-  new_lid_set.reserve(2 * (to - from));
-  for (const auto& lids : shard_lids) {
-    for (int64_t lid : lids) {
-      if (new_lid_set.insert(lid).second) new_lids.push_back(lid);
+  for (size_t r = from; r < to; ++r) new_lids.push_back(lid_col.Int64At(r));
+  SortUniqueLids(&new_lids);
+  const std::vector<ShardRange> shards = SplitShardsAlignedRange(
+      from, to, threads, options.min_rows_per_shard, kColumnChunkRows);
+
+  // --- Older rows of recurring lids: a lid is explained when any of its
+  // --- rows is, so rows below `from` carrying a batch lid join the seed.
+  // --- Only a batch lid <= the largest lid below the watermark can have
+  // --- such rows (when that max is unknown, after a recovery, every batch
+  // --- lid is a candidate and the same pass re-derives it).
+  std::vector<uint32_t> earlier_rows;
+  if (from > 0 && !new_lids.empty()) {
+    const auto recurring_end =
+        prefix_max_lid_.has_value()
+            ? std::upper_bound(new_lids.begin(), new_lids.end(),
+                               *prefix_max_lid_)
+            : new_lids.end();
+    if (recurring_end != new_lids.begin()) {
+      int64_t max_lid = lid_col.Int64At(0);
+      for (size_t r = 0; r < from; ++r) {
+        const int64_t lid = lid_col.Int64At(r);
+        max_lid = std::max(max_lid, lid);
+        if (lid >= new_lids.front() && lid <= recurring_end[-1] &&
+            std::binary_search(new_lids.begin(), recurring_end, lid)) {
+          earlier_rows.push_back(static_cast<uint32_t>(r));
+        }
+      }
+      prefix_max_lid_ = max_lid;
     }
   }
 
   // --- Reverse semi-join delta pass: every appended table (non-log tables
   // --- in full; the log at self-join positions only — its variable-0 rows
-  // --- are the new-lid pass below). Candidates are the lids the appended
+  // --- are the new-row pass below). Candidates are the lids the appended
   // --- rows can newly explain; cost scales with each delta. Skipped when
-  // --- nothing was audited yet (the new-lid pass covers every row).
+  // --- nothing was audited yet (the new-row pass covers every row).
   std::vector<std::vector<int64_t>> per_template_delta(templates.size());
   if (from > 0) {
     // Flatten every (appended table, affected template) pair into one task
@@ -488,87 +510,65 @@ StatusOr<StreamingReport> StreamingAuditor::ExplainNew(
     }
   }
 
-  // --- Evaluate every template restricted to the new lids, sharded by lid
-  // --- range. A template count with only templates.size() tasks leaves the
-  // --- pool idle whenever one template dominates (or there are fewer
-  // --- templates than threads); fanning each template out over contiguous
-  // --- lid ranges gives the pool templates x shards tasks. The ranges
-  // --- partition the (distinct) new lids, so per-shard results are
-  // --- disjoint: per-template counts are the sum of shard result sizes and
-  // --- the explained set is their union — byte-identical to the unsharded
-  // --- evaluation at any thread count.
-  std::unordered_set<int64_t> newly_explained;
-  if (!new_lids.empty()) {
-    std::vector<Value> lid_values;
-    lid_values.reserve(new_lids.size());
-    for (int64_t lid : new_lids) lid_values.push_back(Value::Int64(lid));
-    const std::vector<ShardRange> lid_shards = SplitShards(
-        lid_values.size(), threads, options.min_rows_per_shard);
-    const size_t num_shards = std::max<size_t>(1, lid_shards.size());
-    std::vector<StatusOr<std::vector<int64_t>>> results(
-        templates.size() * num_shards,
-        StatusOr<std::vector<int64_t>>(Status::Internal("not evaluated")));
-    ParallelFor(pool, results.size(), [&](size_t k) {
-      const size_t i = k / num_shards;
-      const size_t s = k % num_shards;
-      const size_t begin = lid_shards.empty() ? 0 : lid_shards[s].begin;
-      const size_t end = lid_shards.empty() ? lid_values.size()
-                                            : lid_shards[s].end;
-      const std::vector<Value> shard_values(
-          lid_values.begin() + static_cast<long>(begin),
-          lid_values.begin() + static_cast<long>(end));
-      Executor executor(snapshot, exec);
-      results[k] = executor.DistinctLidsFor(
-          templates[i].query(), templates[i].lid_attr(), shard_values);
-    });
-    for (size_t i = 0; i < templates.size(); ++i) {
-      size_t count = 0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        StatusOr<std::vector<int64_t>>& result = results[i * num_shards + s];
-        if (!result.ok()) return result.status();
-        count += result->size();
-        newly_explained.insert(result->begin(), result->end());
-      }
-      report.per_template_counts[i] = count;
+  // --- Evaluate every template with variable 0 seeded by each row shard
+  // --- (shard 0 also carries the earlier rows): templates x shards tasks.
+  // --- Results are sorted lid vectors; their union is exact at any thread
+  // --- count even when a lid recurs across shards.
+  const size_t num_shards = shards.size();
+  const std::vector<uint32_t> no_rows;
+  std::vector<StatusOr<std::vector<int64_t>>> results(
+      templates.size() * num_shards,
+      StatusOr<std::vector<int64_t>>(Status::Internal("not evaluated")));
+  ParallelFor(pool, results.size(), [&](size_t k) {
+    const size_t i = k / num_shards;
+    const size_t s = k % num_shards;
+    Executor executor(snapshot, exec);
+    results[k] = executor.DistinctLidsForRows(
+        templates[i].query(), templates[i].lid_attr(),
+        RowRange{shards[s].begin, shards[s].end},
+        s == 0 ? earlier_rows : no_rows);
+  });
+  for (size_t i = 0; i < templates.size(); ++i) {
+    std::vector<int64_t> explained;
+    for (size_t s = 0; s < num_shards; ++s) {
+      StatusOr<std::vector<int64_t>>& result = results[i * num_shards + s];
+      if (!result.ok()) return result.status();
+      UnionInto(&explained, *result);
     }
+    report.per_template_counts[i] = explained.size();
+    UnionInto(&report.explained_lids, explained);
   }
-
-  for (int64_t lid : new_lids) {
-    if (newly_explained.count(lid)) {
-      report.explained_lids.push_back(lid);
-    } else {
-      report.unexplained_lids.push_back(lid);
-    }
-  }
-  std::sort(report.explained_lids.begin(), report.explained_lids.end());
-  std::sort(report.unexplained_lids.begin(), report.unexplained_lids.end());
+  // Every seeded row carries a new lid: explained_lids ⊆ new_lids.
+  std::set_difference(new_lids.begin(), new_lids.end(),
+                      report.explained_lids.begin(),
+                      report.explained_lids.end(),
+                      std::back_inserter(report.unexplained_lids));
 
   // Fold the delta candidates in: only lids that were audited before and
   // unexplained until now count (already-explained lids must not be
-  // double-counted, and new-suffix lids belong to the new-lid pass above).
-  std::unordered_set<int64_t> delta_set;
+  // double-counted, and new-suffix lids belong to the new-row pass above).
   for (size_t i = 0; i < templates.size(); ++i) {
     // One template can surface the same lid from several appended tables.
-    std::sort(per_template_delta[i].begin(), per_template_delta[i].end());
-    per_template_delta[i].erase(
-        std::unique(per_template_delta[i].begin(), per_template_delta[i].end()),
-        per_template_delta[i].end());
-    size_t count = 0;
-    for (int64_t lid : per_template_delta[i]) {
-      if (explained_.count(lid) > 0 || new_lid_set.count(lid) > 0) continue;
-      ++count;
-      delta_set.insert(lid);
-    }
-    report.per_template_delta_counts[i] = count;
+    std::vector<int64_t>& candidates = per_template_delta[i];
+    SortUniqueLids(&candidates);
+    candidates.erase(
+        std::remove_if(candidates.begin(), candidates.end(),
+                       [&](int64_t lid) {
+                         return explained_.Contains(lid) ||
+                                std::binary_search(new_lids.begin(),
+                                                   new_lids.end(), lid);
+                       }),
+        candidates.end());
+    report.per_template_delta_counts[i] = candidates.size();
+    UnionInto(&report.delta_explained_lids, candidates);
   }
-  report.delta_explained_lids.assign(delta_set.begin(), delta_set.end());
-  std::sort(report.delta_explained_lids.begin(),
-            report.delta_explained_lids.end());
 
-  explained_.insert(report.explained_lids.begin(),
-                    report.explained_lids.end());
-  explained_.insert(report.delta_explained_lids.begin(),
-                    report.delta_explained_lids.end());
+  explained_.Insert(report.explained_lids);
+  explained_.Insert(report.delta_explained_lids);
+  if (!new_lids.empty()) {  // set above whenever from > 0
+    prefix_max_lid_ = std::max(prefix_max_lid_.value_or(new_lids.back()),
+                               new_lids.back());
+  }
   audited_rows_ = to;
   // The next audit's drift baseline is what THIS audit actually saw — the
   // pinned snapshot, not live state. Rows appended while this audit ran sit

@@ -12,9 +12,11 @@
 // never remove one — so the explained-lid set is a stable accumulator and
 // every append is auditable as a delta. Drift since the last audit is
 // classified per table (Database::Snapshot::DriftSince):
-//   - log appends: the new rows are audited via the lid-filter semi-join
-//     (Executor::DistinctLidsFor), plus a reverse pass for self-join
-//     templates that reference the log at a non-zero tuple variable;
+//   - log appends: each template is evaluated with tuple variable 0 seeded
+//     by the new rows (Executor::DistinctLidsForRows; older rows of a lid
+//     that recurs in the batch join the seed, so a lid is explained when
+//     any of its rows is), plus a reverse pass for self-join templates that
+//     reference the log at a non-zero tuple variable;
 //   - appends to any other table: the reverse semi-join delta pass —
 //     each template is evaluated restricted to the log lids joinable to the
 //     appended rows (Executor::DistinctLidsJoinedTo seeds the join frontier
@@ -31,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -40,6 +43,7 @@
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
+#include "core/lid_set.h"
 #include "storage/checkpoint.h"
 #include "storage/database.h"
 #include "storage/io.h"
@@ -49,11 +53,11 @@ namespace eba {
 
 /// Tuning knobs for ExplainNew, mirroring ExplainAllOptions.
 struct StreamingOptions {
-  /// Worker threads: templates are evaluated concurrently and the new-row
-  /// scan is sharded. <= 1 runs everything on the calling thread. The
+  /// Worker threads: every template is evaluated over every shard of the
+  /// new rows concurrently. <= 1 runs everything on the calling thread. The
   /// report is byte-identical regardless of the thread count.
   size_t num_threads = 1;
-  /// Lower bound on new rows per scan shard.
+  /// Lower bound on new rows per evaluation shard.
   size_t min_rows_per_shard = 1024;
   /// Executor knobs for template evaluation (engine/join order/probe
   /// morsels). ExplainNew threads its own pool into `executor.pool` /
@@ -258,13 +262,19 @@ class StreamingAuditor {
       EBA_EXCLUDES(*writer_mu_);
 
   /// Explains what the appends since the last audit can change: evaluates
-  /// every template restricted to the new lids (Executor::DistinctLidsFor)
-  /// and, for appends to non-log tables, restricted to the lids joinable to
-  /// the appended foreign rows (Executor::DistinctLidsJoinedTo — the
-  /// reverse semi-join), updating the persistent explained set and
-  /// advancing the audited watermark. Cost scales with the deltas, not the
-  /// log. Falls back to a full re-audit only on structural/catalog drift
-  /// (see file comment).
+  /// every template seeded with the new log rows, sharded into
+  /// chunk-aligned row ranges (Executor::DistinctLidsForRows), and, for
+  /// appends to non-log tables, restricted to the lids joinable to the
+  /// appended foreign rows (Executor::DistinctLidsJoinedTo — the reverse
+  /// semi-join), updating the persistent explained set and advancing the
+  /// audited watermark. A new lid no greater than the largest lid below the
+  /// watermark may have older rows; those are found by one pass over the
+  /// Lid column below the watermark and seeded too. Cost scales with the
+  /// deltas, not the log, while lids arrive in ascending order; the limit
+  /// of this design is that an audit whose batch holds a recurring or
+  /// out-of-order lid also pays that pass, O(audited log rows) instead of
+  /// O(batch). Falls back to a full re-audit only on structural/catalog
+  /// drift (see file comment).
   ///
   /// Pins one Database::Snapshot at entry and audits exactly the rows below
   /// its watermarks; appends landing during the audit are not lost — they
@@ -283,7 +293,7 @@ class StreamingAuditor {
   /// comparison should use explained_count() / ExplainedSetEquals().
   std::unordered_set<int64_t> explained_lids() const EBA_EXCLUDES(*audit_mu_) {
     MutexLock lock(*audit_mu_);
-    return explained_;
+    return explained_.ToUnorderedSet();
   }
   /// Size of the explained-lid set without copying it (the bench/report
   /// accessor: O(1) under the audit lock).
@@ -296,11 +306,11 @@ class StreamingAuditor {
   bool ExplainedSetEquals(const std::unordered_set<int64_t>& other) const
       EBA_EXCLUDES(*audit_mu_) {
     MutexLock lock(*audit_mu_);
-    return explained_ == other;
+    return explained_.Equals(other);
   }
   bool IsExplained(int64_t lid) const EBA_EXCLUDES(*audit_mu_) {
     MutexLock lock(*audit_mu_);
-    return explained_.count(lid) > 0;
+    return explained_.Contains(lid);
   }
 
   // Monotonic ingestion counters; relaxed atomics so bench/report loops can
@@ -345,7 +355,7 @@ class StreamingAuditor {
       EBA_REQUIRES(*audit_mu_, *writer_mu_);
   /// Installs checkpointed audit state + a fresh WAL on a just-created
   /// auditor (the recovery tail of RecoverFrom).
-  Status AdoptRecoveredState(const CheckpointContents& ckpt, Env* env,
+  Status AdoptRecoveredState(CheckpointContents&& ckpt, Env* env,
                              const DurabilityOptions& options,
                              uint64_t new_wal_seq)
       EBA_EXCLUDES(*audit_mu_, *writer_mu_);
@@ -359,8 +369,12 @@ class StreamingAuditor {
   mutable std::unique_ptr<Mutex> audit_mu_;
   mutable std::unique_ptr<Mutex> writer_mu_;
 
-  std::unordered_set<int64_t> explained_ EBA_GUARDED_BY(*audit_mu_);
+  LidSet explained_ EBA_GUARDED_BY(*audit_mu_);
   size_t audited_rows_ EBA_GUARDED_BY(*audit_mu_) = 0;
+  // Largest lid in log rows [0, audited_rows_): a new lid above it cannot
+  // have older rows. Unset when unknown (after a reset or a recovery) and
+  // rebuilt by one Lid-column scan when an audit needs it.
+  std::optional<int64_t> prefix_max_lid_ EBA_GUARDED_BY(*audit_mu_);
   AtomicCounter rows_appended_;
   AtomicCounter batches_appended_;
   AtomicCounter foreign_rows_appended_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -39,18 +40,25 @@ bool RawCmp(const T& a, CmpOp op, const T& b) {
   return false;
 }
 
-/// Matches of `lid` below the snapshot bound in the index over `col`, using
-/// the raw int64 probe when both sides are integer-like (the standard Lid
-/// column) instead of routing a boxed Value through HashIndex::Lookup.
-std::vector<uint32_t> LidMatches(const HashIndex& idx, const Column& col,
-                                 const Value& lid, size_t bound) {
-  if (col.IsIntLike() &&
-      (lid.type() == DataType::kBool || lid.type() == DataType::kInt64 ||
-       lid.type() == DataType::kTimestamp)) {
-    const RowIdSpan span = idx.LookupInt64(lid.RawInt64()).ClampTo(bound);
-    return std::vector<uint32_t>(span.begin(), span.end());
+/// The distinct log rows below `bound` whose lid is one of `lids`, in
+/// first-occurrence order (the MaterializeForLogIds variable-0 seed).
+/// HashIndex::Lookup probes int-like lids through the raw LookupInt64 span
+/// and copies it; `bound` is the caller's pinned snapshot watermark, and
+/// that pin keeps the span valid while it is read.
+std::vector<uint32_t> RowsOfLids(const Table* log_table, QAttr lid_attr,
+                                 const std::vector<Value>& lids,
+                                 size_t bound) {
+  const HashIndex& idx =
+      log_table->GetOrBuildIndex(static_cast<size_t>(lid_attr.col));
+  std::vector<uint32_t> rows;
+  std::unordered_set<uint32_t> seen;
+  seen.reserve(2 * lids.size());
+  for (const Value& lid : lids) {
+    for (uint32_t r : idx.Lookup(lid, bound)) {
+      if (seen.insert(r).second) rows.push_back(r);
+    }
   }
-  return idx.Lookup(lid, bound);
+  return rows;
 }
 
 // ===========================================================================
@@ -190,6 +198,31 @@ void ParallelSortInt64(std::vector<int64_t>* v, const ParCtx& par) {
     });
     if (runs.size() % 2 != 0) next[pairs] = runs.back();
     runs = std::move(next);
+  }
+}
+
+/// Sorts (morsel-parallel) and deduplicates lids in place.
+void SortUniqueLids(std::vector<int64_t>* lids, const ParCtx& par) {
+  ParallelSortInt64(lids, par);
+  lids->erase(std::unique(lids->begin(), lids->end()), lids->end());
+}
+
+/// Appends the non-NULL lids of a boxed single-column lid relation.
+void AppendLids(const Relation& rel, std::vector<int64_t>* lids) {
+  lids->reserve(lids->size() + rel.rows.size());
+  for (const Row& row : rel.rows) {
+    if (!row[0].is_null()) lids->push_back(row[0].RawInt64());
+  }
+}
+
+/// Appends the non-NULL lids of the frame's variable-0 rows.
+void AppendLids(const Frame& frame, const Column& lid_col,
+                std::vector<int64_t>* lids) {
+  const int slot = frame.SlotOf(0);
+  EBA_CHECK(slot >= 0);
+  lids->reserve(lids->size() + frame.size());
+  for (uint32_t r : frame.ids[static_cast<size_t>(slot)]) {
+    if (!lid_col.IsNull(r)) lids->push_back(lid_col.Int64At(r));
   }
 }
 
@@ -622,12 +655,14 @@ void ExecuteJoinStep(Frame* f, const PlanStep& st, const ParCtx& par,
 
 /// Interprets one frozen step against the frame. `pivot_range` is the
 /// runtime row range of the pivot steps (kSeedRange / kRowRangeFilter);
-/// null for plans without one. `var_bounds` holds the snapshot watermark of
-/// each tuple variable's table — the other runtime input: the same frozen
-/// plan replays correctly for any snapshot because every probe clamps to
-/// these bounds.
+/// null for plans without one. `seed_rows` (optional) are extra rows
+/// kSeedRange seeds ahead of the range. `var_bounds` holds the snapshot
+/// watermark of each tuple variable's table — the other runtime input: the
+/// same frozen plan replays correctly for any snapshot because every seed
+/// and probe clamps to these bounds.
 void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
                ExecStats* stats, const RowRange* pivot_range,
+               const std::vector<uint32_t>* seed_rows,
                const std::vector<size_t>& var_bounds) {
   switch (st.kind) {
     case PlanStep::Kind::kJoin:
@@ -653,8 +688,14 @@ void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
       f->vars.push_back(st.new_var);
       f->ids.emplace_back();
       std::vector<uint32_t>& ids = f->ids[0];
-      ids.reserve(pivot_range->size());
-      for (size_t r = pivot_range->begin; r < pivot_range->end; ++r) {
+      const size_t bound = var_bounds[static_cast<size_t>(st.new_var)];
+      if (seed_rows != nullptr) {
+        for (uint32_t r : *seed_rows) {
+          if (r < bound) ids.push_back(r);
+        }
+      }
+      const size_t end = std::min(pivot_range->end, bound);
+      for (size_t r = pivot_range->begin; r < end; ++r) {
         ids.push_back(static_cast<uint32_t>(r));
       }
       stats->peak_intermediate = std::max(stats->peak_intermediate, f->size());
@@ -676,28 +717,10 @@ void ApplyStep(Frame* f, const PlanStep& st, const ParCtx& par,
   }
 }
 
-/// Builds the initial variable-0 scan: the log up to the snapshot bound, or
-/// the distinct row ids matching `lid_filter` (first-occurrence order
-/// preserved, clamped to the bound).
-void InitialScan(const Table* log_table, size_t bound,
-                 const std::vector<Value>* lid_filter, QAttr lid_attr,
-                 std::vector<uint32_t>* scan) {
-  if (lid_filter != nullptr) {
-    const HashIndex& idx =
-        log_table->GetOrBuildIndex(static_cast<size_t>(lid_attr.col));
-    const Column& lid_col =
-        log_table->column(static_cast<size_t>(lid_attr.col));
-    std::unordered_set<uint32_t> rows_seen;
-    rows_seen.reserve(2 * lid_filter->size());
-    for (const auto& lid : *lid_filter) {
-      for (uint32_t r : LidMatches(idx, lid_col, lid, bound)) {
-        if (rows_seen.insert(r).second) scan->push_back(r);
-      }
-    }
-  } else {
-    scan->resize(bound);
-    for (uint32_t r = 0; r < scan->size(); ++r) (*scan)[r] = r;
-  }
+/// The initial variable-0 scan: every log row below the snapshot bound.
+void InitialScan(size_t bound, std::vector<uint32_t>* scan) {
+  scan->resize(bound);
+  std::iota(scan->begin(), scan->end(), 0u);
 }
 
 // ===========================================================================
@@ -721,14 +744,16 @@ class PlanningExecutor {
   /// Executes the query pipeline, records it into `plan`, and returns the
   /// final frame. The frame holds a slot for every tuple variable referenced
   /// by `output_attrs` (plus, without `dedup_frontier`, every bound
-  /// variable). `pivot_var` >= 0 restricts that variable to `pivot_range`:
-  /// seeded there when `pivot_seeded` (reverse pivot — variable 0 starts
-  /// unbound and is joined back to), filtered after binding otherwise.
+  /// variable). `pivot_var` >= 0 restricts that variable to `pivot_range`
+  /// (plus `seed_rows`, reverse pivots only): seeded there when
+  /// `pivot_seeded` (reverse pivot — the frame starts at that variable and
+  /// joins outward), filtered after binding otherwise.
   StatusOr<Frame> Run(const PathQuery& q,
                       const std::vector<QAttr>& output_attrs,
-                      bool dedup_frontier, const std::vector<Value>* lid_filter,
-                      QAttr lid_attr, int pivot_var, bool pivot_seeded,
-                      const RowRange* pivot_range, CompiledPlan* plan) {
+                      bool dedup_frontier, int pivot_var, bool pivot_seeded,
+                      const RowRange* pivot_range,
+                      const std::vector<uint32_t>* seed_rows,
+                      CompiledPlan* plan) {
     EBA_RETURN_IF_ERROR(q.Validate(*db_));
     plan_ = plan;
     output_attrs_ = &output_attrs;
@@ -736,6 +761,7 @@ class PlanningExecutor {
     join_dropped_ = false;
     pivot_var_ = pivot_var;
     pivot_range_ = pivot_range;
+    seed_rows_ = seed_rows;
     pivot_filter_pending_ = pivot_var >= 0 && !pivot_seeded;
     plan_->pivot_var = pivot_var;
     plan_->pivot_seeded = pivot_seeded;
@@ -790,8 +816,7 @@ class PlanningExecutor {
     } else {
       frame.vars.push_back(0);
       frame.ids.emplace_back();
-      InitialScan(plan_->tables[0], var_bounds_[0], lid_filter, lid_attr,
-                  &frame.ids[0]);
+      InitialScan(var_bounds_[0], &frame.ids[0]);
       stats_->peak_intermediate =
           std::max(stats_->peak_intermediate, frame.size());
     }
@@ -921,7 +946,8 @@ class PlanningExecutor {
 
   /// Executes `st` against the frame and appends it to the plan.
   void Record(Frame* frame, PlanStep st) {
-    ApplyStep(frame, st, par_, stats_, pivot_range_, var_bounds_);
+    ApplyStep(frame, st, par_, stats_, pivot_range_, seed_rows_,
+              var_bounds_);
     plan_->steps.push_back(std::move(st));
   }
 
@@ -1151,6 +1177,7 @@ class PlanningExecutor {
   bool join_dropped_ = false;  // a join skipped a doomed column; dedup due
   int pivot_var_ = -1;
   const RowRange* pivot_range_ = nullptr;
+  const std::vector<uint32_t>* seed_rows_ = nullptr;
   bool pivot_filter_pending_ = false;  // forward pivot: filter not yet placed
   std::vector<VarCondition> joins_;
   std::vector<bool> join_applied_;
@@ -1162,11 +1189,11 @@ class PlanningExecutor {
 };
 
 /// Replays a cached compiled plan: the initial scan is rebuilt from the
-/// runtime inputs (full log or lid filter), then every frozen step is
+/// runtime inputs (full log or pivot rows), then every frozen step is
 /// interpreted in order. No validation, table resolution, cardinality
 /// estimation, or closure compilation happens here.
-Frame ReplayPlan(const CompiledPlan& plan, const std::vector<Value>* lid_filter,
-                 QAttr lid_attr, const RowRange* pivot_range,
+Frame ReplayPlan(const CompiledPlan& plan, const RowRange* pivot_range,
+                 const std::vector<uint32_t>* seed_rows,
                  const std::vector<size_t>& var_bounds, const ParCtx& par,
                  ExecStats* stats) {
   stats->plan_cache_hit = true;
@@ -1175,13 +1202,13 @@ Frame ReplayPlan(const CompiledPlan& plan, const std::vector<Value>* lid_filter,
   if (!plan.pivot_seeded) {
     frame.vars.push_back(0);
     frame.ids.emplace_back();
-    InitialScan(plan.tables[0], var_bounds[0], lid_filter, lid_attr,
-                &frame.ids[0]);
+    InitialScan(var_bounds[0], &frame.ids[0]);
     stats->peak_intermediate = std::max(stats->peak_intermediate, frame.size());
   }
   size_t sp = 0;
   for (size_t k = 0; k < plan.steps.size(); ++k) {
-    ApplyStep(&frame, plan.steps[k], par, stats, pivot_range, var_bounds);
+    ApplyStep(&frame, plan.steps[k], par, stats, pivot_range, seed_rows,
+              var_bounds);
     for (; sp < plan.stats_points.size() &&
            plan.stats_points[sp].after_step == k;
          ++sp) {
@@ -1202,12 +1229,12 @@ Frame ReplayPlan(const CompiledPlan& plan, const std::vector<Value>* lid_filter,
 
 /// Structural cache key for a compiled plan: every input that shapes the
 /// recorded pipeline — tables, conditions, resolved literals, projection,
-/// semi-join mode, lid-filter mode, and the join-order policy. Two queries
+/// semi-join mode, pivot mode, and the join-order policy. Two queries
 /// with equal keys compile to interchangeable plans (aliases do not affect
 /// execution, so they are deliberately excluded).
 std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
-                    bool dedup_frontier, bool has_lid_filter, QAttr lid_attr,
-                    const ExecutorOptions& options, int pivot_var,
+                    bool dedup_frontier, const ExecutorOptions& options,
+                    int pivot_var,
                     bool pivot_seeded) {
   std::string key;
   key.reserve(64 + 16 * (q.vars.size() + q.join_chain.size() +
@@ -1244,10 +1271,6 @@ std::string PlanKey(const PathQuery& q, const std::vector<QAttr>& output_attrs,
   key += options.join_order == ExecutorOptions::JoinOrder::kCostBased ? 'C'
                                                                       : 'D';
   key += dedup_frontier ? 'F' : 'f';
-  if (has_lid_filter) {
-    key += 'L';
-    attr(lid_attr);
-  }
   // The pivot variable and mode shape the recorded pipeline; the row range
   // itself is a runtime input and deliberately excluded.
   if (pivot_var >= 0) {
@@ -1393,19 +1416,22 @@ ThreadPool* Executor::ProbePool() const {
 
 StatusOr<Executor::FrameRun> Executor::RunFrame(
     const PathQuery& q, const std::vector<QAttr>& output_attrs,
-    bool dedup_frontier, const std::vector<Value>* lid_filter,
-    QAttr lid_attr, const PivotRun* pivot) const {
-  EBA_CHECK_MSG(lid_filter == nullptr || pivot == nullptr,
-                "lid filter and pivot range are mutually exclusive");
+    bool dedup_frontier, const PivotRun* pivot,
+    const Database::Snapshot* view) const {
   stats_ = ExecStats{};
   const ParCtx par = MakePar(ProbePool(), options_, &stats_);
   const int pivot_var = pivot != nullptr ? pivot->var : -1;
   const bool pivot_seeded = pivot != nullptr && pivot->reverse;
   const RowRange* pivot_range = pivot != nullptr ? &pivot->range : nullptr;
+  const std::vector<uint32_t>* seed_rows =
+      pivot != nullptr ? pivot->seed_rows : nullptr;
 
-  // One pinned read view for the whole run: plan lookup, scan, every probe,
-  // and literal resolution all observe the same watermark vector.
-  const Database::Snapshot snapshot = QuerySnapshot();
+  // One pinned read view for the whole run (the caller's, when it holds
+  // one): plan lookup, scan, every probe, and literal resolution all
+  // observe the same watermark vector.
+  const Database::Snapshot own =
+      view == nullptr ? QuerySnapshot() : Database::Snapshot();
+  const Database::Snapshot& snapshot = view == nullptr ? own : *view;
 
   PlanCache* cache = options_.plan_cache;
   auto snapshot_cache_stats = [&] {
@@ -1418,8 +1444,8 @@ StatusOr<Executor::FrameRun> Executor::RunFrame(
   };
   std::string key;
   if (cache != nullptr) {
-    key = PlanKey(q, output_attrs, dedup_frontier, lid_filter != nullptr,
-                  lid_attr, options_, pivot_var, pivot_seeded);
+    key = PlanKey(q, output_attrs, dedup_frontier, options_, pivot_var,
+                  pivot_seeded);
     std::shared_ptr<const CompiledPlan> plan = cache->Lookup(key, snapshot);
     if (plan != nullptr) {
       std::vector<size_t> var_bounds;
@@ -1428,8 +1454,8 @@ StatusOr<Executor::FrameRun> Executor::RunFrame(
         var_bounds.push_back(snapshot.BoundOf(t));
       }
       FrameRun run;
-      run.frame = ReplayPlan(*plan, lid_filter, lid_attr, pivot_range,
-                             var_bounds, par, &stats_);
+      run.frame = ReplayPlan(*plan, pivot_range, seed_rows, var_bounds, par,
+                             &stats_);
       run.tables = plan->tables;
       snapshot_cache_stats();
       return run;
@@ -1439,8 +1465,8 @@ StatusOr<Executor::FrameRun> Executor::RunFrame(
   auto plan = std::make_shared<CompiledPlan>();
   PlanningExecutor exec(snapshot, options_, &stats_, par);
   EBA_ASSIGN_OR_RETURN(
-      Frame frame, exec.Run(q, output_attrs, dedup_frontier, lid_filter,
-                            lid_attr, pivot_var, pivot_seeded, pivot_range,
+      Frame frame, exec.Run(q, output_attrs, dedup_frontier, pivot_var,
+                            pivot_seeded, pivot_range, seed_rows,
                             plan.get()));
   FrameRun run;
   run.frame = std::move(frame);
@@ -1457,11 +1483,10 @@ StatusOr<Relation> Executor::Materialize(const PathQuery& q) const {
   if (output.empty()) output = q.ReferencedAttrs();
   if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
     return ExecuteBoxed(q, output, /*dedup_intermediate=*/false,
-                        /*lid_filter=*/nullptr, QAttr{});
+                        /*seed_rows=*/nullptr);
   }
   EBA_ASSIGN_OR_RETURN(FrameRun run,
-                       RunFrame(q, output, /*dedup_frontier=*/false,
-                                /*lid_filter=*/nullptr, QAttr{}));
+                       RunFrame(q, output, /*dedup_frontier=*/false));
   return MaterializeFrame(run.frame, run.tables, output,
                           MakePar(ProbePool(), options_, &stats_));
 }
@@ -1477,13 +1502,24 @@ StatusOr<Relation> Executor::MaterializeForLogIds(
   if (std::find(output.begin(), output.end(), lid_attr) == output.end()) {
     output.insert(output.begin(), lid_attr);
   }
-  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
-    return ExecuteBoxed(q, output, /*dedup_intermediate=*/false, &lids,
-                        lid_attr);
+  if (q.vars.empty()) {
+    return Status::InvalidArgument("query has no tuple variables");
   }
+  EBA_ASSIGN_OR_RETURN(const Table* log_table, db_->GetTable(q.vars[0].table));
+  // Variable 0 is seeded with the rows of `lids` (the variable-0 reverse
+  // pivot), so the cost scales with the lids, not the log. One pinned read
+  // view serves the seed lookup and the frame.
+  const Database::Snapshot snapshot = QuerySnapshot();
+  const std::vector<uint32_t> rows =
+      RowsOfLids(log_table, lid_attr, lids, snapshot.BoundOf(log_table));
+  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
+    return ExecuteBoxed(q, output, /*dedup_intermediate=*/false, &rows);
+  }
+  PivotRun pivot;
+  pivot.seed_rows = &rows;
   EBA_ASSIGN_OR_RETURN(
       FrameRun run,
-      RunFrame(q, output, /*dedup_frontier=*/false, &lids, lid_attr));
+      RunFrame(q, output, /*dedup_frontier=*/false, &pivot, &snapshot));
   return MaterializeFrame(run.frame, run.tables, output,
                           MakePar(ProbePool(), options_, &stats_));
 }
@@ -1504,7 +1540,7 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
     EBA_ASSIGN_OR_RETURN(
         Relation rel,
         ExecuteBoxed(q, output, strategy == SupportStrategy::kDedupFrontier,
-                     /*lid_filter=*/nullptr, lid_attr));
+                     /*seed_rows=*/nullptr));
     std::set<Value> distinct;
     for (const auto& row : rel.rows) distinct.insert(row[0]);
     return std::vector<Value>(distinct.begin(), distinct.end());
@@ -1512,8 +1548,7 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
 
   EBA_ASSIGN_OR_RETURN(
       FrameRun run,
-      RunFrame(q, output, strategy == SupportStrategy::kDedupFrontier,
-               /*lid_filter=*/nullptr, lid_attr));
+      RunFrame(q, output, strategy == SupportStrategy::kDedupFrontier));
   const int slot = run.frame.SlotOf(lid_attr.var);
   EBA_CHECK(slot >= 0);
   const std::vector<uint32_t>& ids = run.frame.ids[static_cast<size_t>(slot)];
@@ -1557,19 +1592,8 @@ StatusOr<std::vector<Value>> Executor::DistinctValues(
   return std::vector<Value>(distinct.begin(), distinct.end());
 }
 
-StatusOr<std::vector<int64_t>> Executor::DistinctLids(const PathQuery& q,
-                                                      QAttr lid_attr) const {
-  return DistinctLidsImpl(q, lid_attr, /*lid_filter=*/nullptr);
-}
-
-StatusOr<std::vector<int64_t>> Executor::DistinctLidsFor(
-    const PathQuery& q, QAttr lid_attr, const std::vector<Value>& lids) const {
-  return DistinctLidsImpl(q, lid_attr, &lids);
-}
-
-StatusOr<std::vector<int64_t>> Executor::DistinctLidsImpl(
-    const PathQuery& q, QAttr lid_attr,
-    const std::vector<Value>* lid_filter) const {
+StatusOr<const Column*> Executor::LidColumn(const PathQuery& q,
+                                            QAttr lid_attr) const {
   if (lid_attr.var != 0) {
     return Status::InvalidArgument("lid attribute must belong to variable 0");
   }
@@ -1584,37 +1608,53 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsImpl(
   const Column& col = log_table->column(static_cast<size_t>(lid_attr.col));
   if (!col.IsIntLike()) {
     return Status::InvalidArgument(
-        "DistinctLids requires an integer-like lid column");
+        "distinct-lid evaluation requires an integer-like lid column");
   }
+  return &col;
+}
 
+StatusOr<std::vector<int64_t>> Executor::DistinctLids(const PathQuery& q,
+                                                      QAttr lid_attr) const {
+  EBA_ASSIGN_OR_RETURN(const Column* col, LidColumn(q, lid_attr));
+  std::vector<int64_t> lids;
   if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
     EBA_ASSIGN_OR_RETURN(
-        Relation rel,
-        ExecuteBoxed(q, {lid_attr}, /*dedup_intermediate=*/true, lid_filter,
-                     lid_attr));
-    std::vector<int64_t> lids;
-    lids.reserve(rel.rows.size());
-    for (const auto& row : rel.rows) {
-      if (!row[0].is_null()) lids.push_back(row[0].RawInt64());
-    }
-    std::sort(lids.begin(), lids.end());
-    lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
-    return lids;
+        Relation rel, ExecuteBoxed(q, {lid_attr}, /*dedup_intermediate=*/true,
+                                   /*seed_rows=*/nullptr));
+    AppendLids(rel, &lids);
+  } else {
+    EBA_ASSIGN_OR_RETURN(FrameRun run,
+                         RunFrame(q, {lid_attr}, /*dedup_frontier=*/true));
+    AppendLids(run.frame, *col, &lids);
   }
+  SortUniqueLids(&lids, MakePar(ProbePool(), options_, &stats_));
+  return lids;
+}
 
-  std::vector<QAttr> output = {lid_attr};
-  EBA_ASSIGN_OR_RETURN(FrameRun run, RunFrame(q, output,
-                                              /*dedup_frontier=*/true,
-                                              lid_filter, lid_attr));
-  const int slot = run.frame.SlotOf(lid_attr.var);
-  EBA_CHECK(slot >= 0);
+StatusOr<std::vector<int64_t>> Executor::DistinctLidsForRows(
+    const PathQuery& q, QAttr lid_attr, RowRange rows,
+    const std::vector<uint32_t>& earlier_rows) const {
+  EBA_ASSIGN_OR_RETURN(const Column* col, LidColumn(q, lid_attr));
   std::vector<int64_t> lids;
-  lids.reserve(run.frame.size());
-  for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
-    if (!col.IsNull(r)) lids.push_back(col.Int64At(r));
+  if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
+    std::vector<uint32_t> seed = earlier_rows;
+    for (size_t r = rows.begin; r < rows.end; ++r) {
+      seed.push_back(static_cast<uint32_t>(r));
+    }
+    EBA_ASSIGN_OR_RETURN(
+        Relation rel,
+        ExecuteBoxed(q, {lid_attr}, /*dedup_intermediate=*/true, &seed));
+    AppendLids(rel, &lids);
+  } else {
+    PivotRun pivot;
+    pivot.range = rows;
+    pivot.seed_rows = &earlier_rows;
+    EBA_ASSIGN_OR_RETURN(FrameRun run, RunFrame(q, {lid_attr},
+                                                /*dedup_frontier=*/true,
+                                                &pivot));
+    AppendLids(run.frame, *col, &lids);
   }
-  ParallelSortInt64(&lids, MakePar(ProbePool(), options_, &stats_));
-  lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
+  SortUniqueLids(&lids, MakePar(ProbePool(), options_, &stats_));
   return lids;
 }
 
@@ -1627,26 +1667,12 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
 StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
     const PathQuery& q, QAttr lid_attr, const std::string& table,
     RowRange appended, const JoinedToOptions& jopts) const {
-  if (lid_attr.var != 0) {
-    return Status::InvalidArgument("lid attribute must belong to variable 0");
-  }
-  if (q.vars.empty()) {
-    return Status::InvalidArgument("query has no tuple variables");
-  }
+  EBA_ASSIGN_OR_RETURN(const Column* col, LidColumn(q, lid_attr));
   if (options_.engine == ExecutorOptions::Engine::kBoxedReference) {
     return Status::Unimplemented(
         "DistinctLidsJoinedTo requires the late-materialization engine");
   }
   EBA_ASSIGN_OR_RETURN(const Table* log_table, db_->GetTable(q.vars[0].table));
-  if (lid_attr.col < 0 ||
-      static_cast<size_t>(lid_attr.col) >= log_table->num_columns()) {
-    return Status::InvalidArgument("lid attribute column out of range");
-  }
-  const Column& lid_col = log_table->column(static_cast<size_t>(lid_attr.col));
-  if (!lid_col.IsIntLike()) {
-    return Status::InvalidArgument(
-        "DistinctLidsJoinedTo requires an integer-like lid column");
-  }
   EBA_ASSIGN_OR_RETURN(const Table* appended_table, db_->GetTable(table));
   // Clamp the runtime range to the snapshot watermark, not the live row
   // count: rows the writer appends during this call are the next delta's
@@ -1685,24 +1711,16 @@ StatusOr<std::vector<int64_t>> Executor::DistinctLidsJoinedTo(
         break;
     }
     EBA_ASSIGN_OR_RETURN(
-        FrameRun run, RunFrame(q, {lid_attr}, /*dedup_frontier=*/true,
-                               /*lid_filter=*/nullptr, lid_attr, &pivot));
-    const int slot = run.frame.SlotOf(lid_attr.var);
-    EBA_CHECK(slot >= 0);
-    lids.reserve(lids.size() + run.frame.size());
-    for (uint32_t r : run.frame.ids[static_cast<size_t>(slot)]) {
-      if (!lid_col.IsNull(r)) lids.push_back(lid_col.Int64At(r));
-    }
+        FrameRun run, RunFrame(q, {lid_attr}, /*dedup_frontier=*/true, &pivot));
+    AppendLids(run.frame, *col, &lids);
   }
-  ParallelSortInt64(&lids, MakePar(ProbePool(), options_, &stats_));
-  lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
+  SortUniqueLids(&lids, MakePar(ProbePool(), options_, &stats_));
   return lids;
 }
 
 StatusOr<Relation> Executor::ExecuteBoxed(
     const PathQuery& q, const std::vector<QAttr>& output_attrs,
-    bool dedup_intermediate, const std::vector<Value>* lid_filter,
-    QAttr lid_attr) const {
+    bool dedup_intermediate, const std::vector<uint32_t>* seed_rows) const {
   EBA_RETURN_IF_ERROR(q.Validate(*db_));
   stats_ = ExecStats{};
 
@@ -1823,17 +1841,9 @@ StatusOr<Relation> Executor::ExecuteBoxed(
     }
     rel.rows.push_back(std::move(row));
   };
-  if (lid_filter != nullptr) {
-    const HashIndex& idx =
-        log_table->GetOrBuildIndex(static_cast<size_t>(lid_attr.col));
-    const Column& lid_col =
-        log_table->column(static_cast<size_t>(lid_attr.col));
-    std::unordered_set<size_t> rows_seen;
-    rows_seen.reserve(2 * lid_filter->size());
-    for (const auto& lid : *lid_filter) {
-      for (uint32_t r : LidMatches(idx, lid_col, lid, bounds[0])) {
-        if (rows_seen.insert(r).second) emit_log_row(r);
-      }
+  if (seed_rows != nullptr) {
+    for (uint32_t r : *seed_rows) {
+      if (r < bounds[0]) emit_log_row(r);
     }
   } else {
     rel.rows.reserve(bounds[0]);

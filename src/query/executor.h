@@ -217,14 +217,14 @@ class Executor {
   StatusOr<std::vector<int64_t>> DistinctLids(const PathQuery& q,
                                               QAttr lid_attr) const;
 
-  /// DistinctLids restricted to specific log records: the distinct members
-  /// of `lids` the query explains, evaluated through the lid-filter initial
-  /// scan so the cost scales with the batch, not the log. This is the
-  /// incremental-audit entry point (core/ingest.h): a streaming ExplainNew
-  /// re-evaluates only the accesses past its audited watermark.
-  StatusOr<std::vector<int64_t>> DistinctLidsFor(
-      const PathQuery& q, QAttr lid_attr,
-      const std::vector<Value>& lids) const;
+  /// DistinctLids restricted to the variable-0 rows `rows` plus
+  /// `earlier_rows` (rows outside `rows`; rows past the snapshot are
+  /// ignored). The frame is seeded with those rows (the variable-0 reverse
+  /// pivot), so the cost scales with the rows, not the log: the
+  /// incremental-audit entry point (core/ingest.h).
+  StatusOr<std::vector<int64_t>> DistinctLidsForRows(
+      const PathQuery& q, QAttr lid_attr, RowRange rows,
+      const std::vector<uint32_t>& earlier_rows) const;
 
   /// How DistinctLidsJoinedTo restricts a tuple variable to the appended
   /// row range. kReverseSeed starts the join frontier *at the appended
@@ -240,7 +240,7 @@ class Executor {
     PivotChoice pivot = PivotChoice::kAuto;
     /// When false, occurrences of `table` at tuple variable 0 are skipped —
     /// core/ingest.h sets this for log-table appends, whose variable-0 rows
-    /// are already covered by the DistinctLidsFor new-lid pass, leaving the
+    /// are covered by the DistinctLidsForRows new-row pass, leaving the
     /// self-join (variable > 0) occurrences to this entry point.
     bool include_var0 = true;
   };
@@ -272,37 +272,38 @@ class Executor {
   /// Frame + resolved per-variable tables from one late-materialization run.
   struct FrameRun;
 
-  /// One range-restricted ("pivot") execution of DistinctLidsJoinedTo:
-  /// which tuple variable is restricted, whether the frame is seeded at it
-  /// (reverse) or filtered after binding (forward), and the runtime range.
+  /// One range-restricted ("pivot") execution: which tuple variable is
+  /// restricted, whether the frame is seeded at it (reverse) or filtered
+  /// after binding (forward), and the runtime range (plus, when seeded,
+  /// extra rows ahead of it).
   struct PivotRun {
     int var = 0;
     bool reverse = true;
     RowRange range;
+    const std::vector<uint32_t>* seed_rows = nullptr;
   };
 
+  /// The boxed reference engine. `seed_rows`, when set, replaces the full
+  /// log scan of variable 0 (rows past the snapshot are dropped).
   StatusOr<Relation> ExecuteBoxed(const PathQuery& q,
                                   const std::vector<QAttr>& output_attrs,
                                   bool dedup_intermediate,
-                                  const std::vector<Value>* lid_filter,
-                                  QAttr lid_attr) const;
+                                  const std::vector<uint32_t>* seed_rows) const;
 
-  /// Shared body of DistinctLids / DistinctLidsFor (`lid_filter` null for
-  /// the full log).
-  StatusOr<std::vector<int64_t>> DistinctLidsImpl(
-      const PathQuery& q, QAttr lid_attr,
-      const std::vector<Value>* lid_filter) const;
+  /// Validates a distinct-lid attribute (variable 0, integer-like column)
+  /// and returns its column of the log table.
+  StatusOr<const Column*> LidColumn(const PathQuery& q, QAttr lid_attr) const;
 
   /// Late-materialization entry point: replays a cached compiled plan when
   /// options_.plan_cache holds a fresh one for this query shape, otherwise
-  /// records the plan while executing (and caches it). At most one of
-  /// `lid_filter` / `pivot` may be set.
+  /// records the plan while executing (and caches it). Without `pivot`,
+  /// variable 0 scans the whole log. Runs under `view` when given (a
+  /// snapshot the caller already pinned), else under QuerySnapshot().
   StatusOr<FrameRun> RunFrame(const PathQuery& q,
                               const std::vector<QAttr>& output_attrs,
                               bool dedup_frontier,
-                              const std::vector<Value>* lid_filter,
-                              QAttr lid_attr,
-                              const PivotRun* pivot = nullptr) const;
+                              const PivotRun* pivot = nullptr,
+                              const Database::Snapshot* view = nullptr) const;
 
   /// The pool probe morsels fan out over: the external options_.pool when
   /// set, else a lazily created owned pool (num_threads > 1), else null.

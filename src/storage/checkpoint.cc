@@ -1,11 +1,14 @@
 #include "storage/checkpoint.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "common/crc32.h"
 #include "common/string_util.h"
@@ -40,6 +43,17 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+std::string_view TrimView(std::string_view text) {
+  while (!text.empty() && std::isspace(static_cast<unsigned char>(text[0]))) {
+    text.remove_prefix(1);
+  }
+  while (!text.empty() &&
+         std::isspace(static_cast<unsigned char>(text.back()))) {
+    text.remove_suffix(1);
+  }
+  return text;
 }
 
 /// Fields of one manifest line after the directive keyword.
@@ -112,7 +126,7 @@ Status CheckpointStore::WriteManifest(uint64_t seq, const Manifest& m) const {
 }
 
 StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
-    uint64_t seq) const {
+    uint64_t seq, bool with_lids) const {
   const std::string path = CkptDir(seq) + "/ckpt.txt";
   EBA_ASSIGN_OR_RETURN(std::string text, env_->ReadFileToString(path));
 
@@ -120,7 +134,9 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
   if (crc_pos == std::string::npos) {
     return Status::Internal("checkpoint manifest missing CRC: " + path);
   }
-  const std::string body = text.substr(0, crc_pos + 1);  // includes the '\n'
+  // Parsed in place: the body is a view of the CRC-checked buffer, and so
+  // is every line (the LIDS line holds one token per explained access).
+  const std::string_view body(text.data(), crc_pos + 1);  // includes '\n'
   const std::string crc_text = Trim(text.substr(crc_pos + 5));
   errno = 0;
   char* end = nullptr;
@@ -131,33 +147,45 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
   }
 
   Manifest m;
-  std::istringstream in(body);
-  std::string line;
   int line_number = 0;
   auto parse_error = [&](const std::string& message) {
     return Status::Internal("checkpoint manifest " + path + " line " +
                             std::to_string(line_number) + ": " + message);
   };
-  while (std::getline(in, line)) {
+  // The current line; `after(n)` is its trimmed text past the first n
+  // characters (the directive keyword).
+  std::string_view trimmed;
+  auto directive = [&](std::string_view keyword) {
+    return trimmed.substr(0, keyword.size()) == keyword;
+  };
+  auto after = [&](size_t n) {
+    return std::string(TrimView(trimmed.substr(n)));
+  };
+  bool has_count = false;
+  uint64_t count = 0;
+  size_t pos = 0;
+  while (pos < body.size()) {
+    size_t eol = body.find('\n', pos);
+    if (eol == std::string_view::npos) eol = body.size();
+    trimmed = TrimView(body.substr(pos, eol - pos));
+    pos = eol + 1;
     ++line_number;
-    const std::string trimmed = Trim(line);
     if (trimmed.empty() || trimmed[0] == '#') continue;
-    if (StartsWith(trimmed, "SEQ ")) {
-      EBA_ASSIGN_OR_RETURN(m.seq, ParseU64(Trim(trimmed.substr(4))));
-    } else if (StartsWith(trimmed, "BASE ")) {
+    if (directive("SEQ ")) {
+      EBA_ASSIGN_OR_RETURN(m.seq, ParseU64(after(4)));
+    } else if (directive("BASE ")) {
       m.has_base = true;
-      EBA_ASSIGN_OR_RETURN(m.base, ParseU64(Trim(trimmed.substr(5))));
-    } else if (StartsWith(trimmed, "WALSEQ ")) {
-      EBA_ASSIGN_OR_RETURN(m.wal_seq, ParseU64(Trim(trimmed.substr(7))));
-    } else if (StartsWith(trimmed, "AUDITED ")) {
-      EBA_ASSIGN_OR_RETURN(m.audit.audited_rows,
-                           ParseU64(Trim(trimmed.substr(8))));
-    } else if (StartsWith(trimmed, "TABLE ")) {
-      const auto fields = SplitFields(trimmed.substr(6));
+      EBA_ASSIGN_OR_RETURN(m.base, ParseU64(after(5)));
+    } else if (directive("WALSEQ ")) {
+      EBA_ASSIGN_OR_RETURN(m.wal_seq, ParseU64(after(7)));
+    } else if (directive("AUDITED ")) {
+      EBA_ASSIGN_OR_RETURN(m.audit.audited_rows, ParseU64(after(8)));
+    } else if (directive("TABLE ")) {
+      const auto fields = SplitFields(after(6));
       if (fields.size() != 2) return parse_error("TABLE needs name rows");
       EBA_ASSIGN_OR_RETURN(m.table_rows[fields[0]], ParseU64(fields[1]));
-    } else if (StartsWith(trimmed, "SEGMENT ")) {
-      const auto fields = SplitFields(trimmed.substr(8));
+    } else if (directive("SEGMENT ")) {
+      const auto fields = SplitFields(after(8));
       if (fields.size() != 4) {
         return parse_error("SEGMENT needs name from to file");
       }
@@ -166,31 +194,41 @@ StatusOr<CheckpointStore::Manifest> CheckpointStore::ReadManifest(
       EBA_ASSIGN_OR_RETURN(seg.to_row, ParseU64(fields[2]));
       seg.file = fields[3];
       m.segments[fields[0]] = std::move(seg);
-    } else if (StartsWith(trimmed, "WATERMARK ")) {
-      const auto fields = SplitFields(trimmed.substr(10));
+    } else if (directive("WATERMARK ")) {
+      const auto fields = SplitFields(after(10));
       if (fields.size() != 2) return parse_error("WATERMARK needs name wm");
       EBA_ASSIGN_OR_RETURN(m.audit.audit_watermarks[fields[0]],
                            ParseU64(fields[1]));
-    } else if (StartsWith(trimmed, "EXPLAINED ")) {
-      uint64_t count = 0;
-      EBA_ASSIGN_OR_RETURN(count, ParseU64(Trim(trimmed.substr(10))));
-      m.audit.explained_lids.reserve(count);
-    } else if (StartsWith(trimmed, "LIDS")) {
-      // Hot during recovery: strtoll straight over the line, no per-lid
-      // string slicing.
-      const char* p = trimmed.c_str() + 4;
-      while (true) {
-        errno = 0;
-        char* end = nullptr;
-        const long long v = std::strtoll(p, &end, 10);
-        if (end == p) break;  // no more numbers
-        if (errno == ERANGE) return parse_error("lid out of range");
-        m.audit.explained_lids.push_back(static_cast<int64_t>(v));
-        p = end;
+    } else if (directive("EXPLAINED ")) {
+      EBA_ASSIGN_OR_RETURN(count, ParseU64(after(10)));
+      has_count = true;
+      if (with_lids) m.audit.explained_lids.reserve(count);
+    } else if (directive("LIDS") &&
+               (trimmed.size() == 4 || trimmed[4] == ' ')) {
+      if (!with_lids) continue;
+      // Hot during recovery: from_chars straight over the buffer, one
+      // single-space-separated token per lid.
+      const char* p = trimmed.data() + 4;
+      const char* const line_end = trimmed.data() + trimmed.size();
+      while (p < line_end) {
+        if (*p != ' ') return parse_error("malformed LIDS separator");
+        ++p;
+        int64_t lid = 0;
+        const auto [next, ec] = std::from_chars(p, line_end, lid);
+        if (ec != std::errc() || (next < line_end && *next != ' ')) {
+          return parse_error("malformed LIDS token");
+        }
+        m.audit.explained_lids.push_back(lid);
+        p = next;
       }
     } else {
-      return parse_error("unrecognized directive: " + trimmed);
+      return parse_error("unrecognized directive: " + std::string(trimmed));
     }
+  }
+  if (with_lids && has_count && m.audit.explained_lids.size() != count) {
+    return Status::Internal("checkpoint manifest " + path + ": EXPLAINED " +
+                            std::to_string(count) + " but LIDS holds " +
+                            std::to_string(m.audit.explained_lids.size()));
   }
   return m;
 }
@@ -215,7 +253,7 @@ StatusOr<uint64_t> CheckpointStore::Prepare(const Database& db,
   if (!has_current) {
     full = true;
   } else if (!full) {
-    StatusOr<Manifest> base_or = ReadManifest(base_seq);
+    StatusOr<Manifest> base_or = ReadManifest(base_seq, /*with_lids=*/false);
     if (!base_or.ok()) {
       full = true;  // unreadable base: fall back to a self-contained image
     } else {
@@ -293,7 +331,7 @@ Status CheckpointStore::Publish(uint64_t seq) {
   uint64_t wal_min = seq;
   uint64_t walk = seq;
   while (true) {
-    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk));
+    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk, /*with_lids=*/false));
     chain.insert(walk);
     wal_min = m.wal_seq;
     if (!m.has_base) break;
@@ -325,7 +363,8 @@ StatusOr<CheckpointContents> CheckpointStore::LoadNewest() const {
   std::vector<Manifest> chain;
   uint64_t walk = seq;
   while (true) {
-    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk));
+    // Only the newest manifest's audit state is used.
+    EBA_ASSIGN_OR_RETURN(Manifest m, ReadManifest(walk, walk == seq));
     const bool at_root = !m.has_base;
     const uint64_t next = m.base;
     chain.push_back(std::move(m));
@@ -351,8 +390,7 @@ StatusOr<CheckpointContents> CheckpointStore::LoadNewest() const {
       EBA_RETURN_IF_ERROR(table->AppendCsvString(csv, seg_path));
     }
   }
-  const Manifest& newest = chain.back();
-  for (const auto& [name, rows] : newest.table_rows) {
+  for (const auto& [name, rows] : chain.back().table_rows) {
     EBA_ASSIGN_OR_RETURN(const Table* table, db.GetTable(name));
     if (table->num_rows() != rows) {
       return Status::Internal("checkpoint row-count mismatch for table '" +
@@ -364,9 +402,9 @@ StatusOr<CheckpointContents> CheckpointStore::LoadNewest() const {
 
   CheckpointContents out;
   out.db = std::move(db);
-  out.audit = newest.audit;
-  out.seq = newest.seq;
-  out.wal_seq = newest.wal_seq;
+  out.audit = std::move(chain.back().audit);
+  out.seq = chain.back().seq;
+  out.wal_seq = chain.back().wal_seq;
   out.chain_length = chain.size();
   out.db_load_seconds = SecondsSince(load_start);
   return out;

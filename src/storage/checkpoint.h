@@ -125,7 +125,9 @@ class CheckpointStore {
   };
 
   std::string CkptDir(uint64_t seq) const;
-  StatusOr<Manifest> ReadManifest(uint64_t seq) const;
+  /// Reads and CRC-checks ckpt.txt. `with_lids` false skips parsing the
+  /// LIDS line (chain links whose audit state is not used).
+  StatusOr<Manifest> ReadManifest(uint64_t seq, bool with_lids = true) const;
   Status WriteManifest(uint64_t seq, const Manifest& m) const;
 
   Env* env_;

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include "careweb/generator.h"
 #include "careweb/workload.h"
+#include "common/random.h"
 #include "core/engine.h"
 #include "core/instance.h"
+#include "core/lid_set.h"
 #include "core/metrics.h"
 #include "core/template.h"
 #include "log/fake_log.h"
@@ -313,6 +319,88 @@ TEST(MetricsTest, LidsWithEvent) {
   auto any = UnwrapOrDie(
       evaluator.LidsWithAnyEvent({{"Appointments", "Patient"}}));
   EXPECT_EQ(any, lids);
+}
+
+// ----- LidSet (the auditor's explained-lid set) ----------------------------
+
+void ExpectLidSetEquals(const LidSet& set, const std::set<int64_t>& oracle) {
+  EXPECT_EQ(set.size(), oracle.size());
+  EXPECT_EQ(set.ToSortedVector(),
+            std::vector<int64_t>(oracle.begin(), oracle.end()));
+  EXPECT_TRUE(
+      set.Equals(std::unordered_set<int64_t>(oracle.begin(), oracle.end())));
+}
+
+TEST(LidSetTest, DenseSequentialLids) {
+  LidSet set;
+  std::vector<int64_t> lids;
+  for (int64_t lid = 1; lid <= 5000; ++lid) lids.push_back(lid);
+  set.Insert(lids);
+  set.Insert({4999, 5000, 5001});  // overlap with the first batch
+  EXPECT_EQ(set.size(), 5001u);
+  EXPECT_TRUE(set.Contains(1));
+  EXPECT_TRUE(set.Contains(5001));
+  EXPECT_FALSE(set.Contains(0));
+  EXPECT_FALSE(set.Contains(5002));
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.Contains(1));
+}
+
+TEST(LidSetTest, SparseAndExtremeLids) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  LidSet set;
+  std::set<int64_t> oracle;
+  const std::vector<std::vector<int64_t>> batches = {
+      {100, 101, 164},
+      {7, -3, kMin},             // negative and INT64_MIN
+      {kMax, kMax - 1, 1 << 30}, // INT64_MAX and a wide gap
+      {7, kMax, 102, 102},       // duplicates within and across batches
+      {165, 1000, -3, 0}};
+  for (const auto& batch : batches) {
+    set.Insert(batch);
+    oracle.insert(batch.begin(), batch.end());
+    ExpectLidSetEquals(set, oracle);
+  }
+  for (int64_t lid : {kMin + 1, int64_t{-2}, int64_t{99}, int64_t{166},
+                      kMax - 2}) {
+    EXPECT_FALSE(set.Contains(lid)) << lid;
+  }
+}
+
+TEST(LidSetTest, MatchesStdSetUnderRandomBatches) {
+  Random rng(7);
+  LidSet set;
+  std::set<int64_t> oracle;
+  int64_t next = 1;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<int64_t> batch;
+    const size_t n = rng.Uniform(300);
+    for (size_t i = 0; i < n; ++i) {
+      switch (rng.Uniform(4)) {
+        case 0:  // the streaming common case: ascending fresh lids
+          batch.push_back(next++);
+          break;
+        case 1:  // a lid seen before (or not)
+          batch.push_back(rng.UniformRange(1, next));
+          break;
+        case 2:  // out of order, possibly negative
+          batch.push_back(rng.UniformRange(-1000, 1000));
+          break;
+        default:  // far outside the dense range
+          batch.push_back(rng.UniformRange(int64_t{1} << 40,
+                                           (int64_t{1} << 40) + 1000000));
+          break;
+      }
+    }
+    set.Insert(batch);
+    oracle.insert(batch.begin(), batch.end());
+    if (round % 20 == 0) ExpectLidSetEquals(set, oracle);
+    const int64_t probe = rng.UniformRange(-1100, next + 10);
+    EXPECT_EQ(set.Contains(probe), oracle.count(probe) > 0) << probe;
+  }
+  ExpectLidSetEquals(set, oracle);
 }
 
 }  // namespace

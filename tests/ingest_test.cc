@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -21,12 +23,14 @@
 #include "core/auditor.h"
 #include "core/engine.h"
 #include "log/access_log.h"
+#include "query/executor.h"
 #include "tests/test_util.h"
 
 namespace eba {
 namespace {
 
 using testing_util::BuildPaperToyDatabase;
+using testing_util::CloneDatabase;
 using testing_util::UnwrapOrDie;
 
 /// A streaming fixture over the generated hospital: the "LogStream" table
@@ -522,6 +526,252 @@ TEST(StreamingAuditorTest, EmptyAuditAndBadBatchRows) {
 
   // Arity mismatch is rejected.
   EXPECT_FALSE(auditor.AppendAccessBatch({Row{Value::Int64(9)}}).ok());
+}
+
+// ----- Recurring and out-of-order lids -----------------------------------
+// A lid is explained when any of its rows is. ExplainNew seeds each
+// template with the new rows plus the older rows of new lids that recur
+// below the audited watermark; these tests pin that classification to a
+// fresh ExplainAll on a cloned database (and to fixed expected values where
+// the data is small enough to reason about by hand).
+
+/// What a fresh engine on a deep copy of `db` says about `lids`: explained
+/// or not, and how many of them each template explains.
+struct BatchOracle {
+  std::vector<size_t> per_template_counts;
+  std::vector<int64_t> explained;
+  std::vector<int64_t> unexplained;
+};
+
+BatchOracle ClonedOracle(const Database& db, const std::string& log_table,
+                         const std::vector<ExplanationTemplate>& templates,
+                         std::vector<int64_t> lids) {
+  std::sort(lids.begin(), lids.end());
+  lids.erase(std::unique(lids.begin(), lids.end()), lids.end());
+  Database clone = CloneDatabase(db);
+  ExplanationEngine engine =
+      UnwrapOrDie(ExplanationEngine::Create(&clone, log_table));
+  for (const auto& tmpl : templates) {
+    const Status s = engine.AddTemplate(tmpl);
+    EBA_CHECK_MSG(s.ok(), s.ToString());
+  }
+  const ExplanationReport full = UnwrapOrDie(engine.ExplainAll());
+  BatchOracle oracle;
+  for (int64_t lid : lids) {
+    const bool explained = std::binary_search(
+        full.explained_lids.begin(), full.explained_lids.end(), lid);
+    (explained ? oracle.explained : oracle.unexplained).push_back(lid);
+  }
+  const Executor executor(&clone);
+  for (const auto& tmpl : engine.templates()) {
+    const std::vector<int64_t> all =
+        UnwrapOrDie(executor.DistinctLids(tmpl.query(), tmpl.lid_attr()));
+    size_t count = 0;
+    for (int64_t lid : lids) {
+      count += std::binary_search(all.begin(), all.end(), lid) ? 1 : 0;
+    }
+    oracle.per_template_counts.push_back(count);
+  }
+  return oracle;
+}
+
+void ExpectMatchesOracle(const StreamingReport& report,
+                         const BatchOracle& oracle) {
+  EXPECT_EQ(report.explained_lids, oracle.explained);
+  EXPECT_EQ(report.unexplained_lids, oracle.unexplained);
+  EXPECT_EQ(report.per_template_counts, oracle.per_template_counts);
+}
+
+Row ToyAccess(int64_t lid, int64_t user, int64_t patient) {
+  const int64_t mar1 = Date::FromCivil(2010, 3, 1, 9, 0, 0).ToSeconds();
+  return {Value::Int64(lid), Value::Timestamp(mar1), Value::Int64(user),
+          Value::Int64(patient), Value::String("viewed record")};
+}
+
+TEST(StreamingAuditorTest, RepeatedLidIsExplainedByItsOlderRow) {
+  ToyAuditor t = MakeToyAuditor();
+  (void)UnwrapOrDie(t.auditor->ExplainNew());
+  ASSERT_TRUE(t.auditor->IsExplained(1));
+
+  // Lid 1 recurs: its new row (Mike viewing Alice, no appointment) explains
+  // nothing, but its older row (Dave viewing Alice, the Jan 1 appointment)
+  // does. Lid 3 is fresh and unexplained.
+  const std::vector<Row> batch = {
+      ToyAccess(1, testing_util::kMike, testing_util::kAlice),
+      ToyAccess(3, testing_util::kDave, testing_util::kBob)};
+  EBA_ASSERT_OK(t.auditor->AppendAccessBatch(batch));
+  const StreamingReport report = UnwrapOrDie(t.auditor->ExplainNew());
+  EXPECT_EQ(report.audited_from, 2u);
+  EXPECT_EQ(report.explained_lids, (std::vector<int64_t>{1}));
+  EXPECT_EQ(report.unexplained_lids, (std::vector<int64_t>{3}));
+  EXPECT_EQ(report.per_template_counts, (std::vector<size_t>{1}));
+  EXPECT_TRUE(report.delta_explained_lids.empty());
+  ExpectMatchesOracle(report, ClonedOracle(t.db, "Log",
+                                           t.auditor->engine().templates(),
+                                           {1, 3}));
+
+  // The converse: lid 2's older row is unexplained, its new row (Mike
+  // viewing Bob, the Feb 2 appointment) is explained.
+  EBA_ASSERT_OK(t.auditor->AppendAccessBatch(
+      {ToyAccess(2, testing_util::kMike, testing_util::kBob)}));
+  const StreamingReport second = UnwrapOrDie(t.auditor->ExplainNew());
+  EXPECT_EQ(second.explained_lids, (std::vector<int64_t>{2}));
+  EXPECT_TRUE(second.unexplained_lids.empty());
+  EXPECT_EQ(second.per_template_counts, (std::vector<size_t>{1}));
+  EXPECT_TRUE(t.auditor->IsExplained(2));
+  EXPECT_FALSE(t.auditor->IsExplained(3));
+}
+
+TEST(StreamingAuditorTest, OutOfOrderFreshLidsBelowThePrefixMax) {
+  ToyAuditor t = MakeToyAuditor();
+  EBA_ASSERT_OK(t.auditor->AppendAccessBatch(
+      {ToyAccess(10, testing_util::kDave, testing_util::kAlice)}));
+  (void)UnwrapOrDie(t.auditor->ExplainNew());
+
+  // Lids 5 and 7 are new but below the largest audited lid (10): they have
+  // no older rows, and must classify on their own rows alone.
+  const std::vector<Row> batch = {
+      ToyAccess(5, testing_util::kMike, testing_util::kBob),
+      ToyAccess(7, testing_util::kDave, testing_util::kBob),
+      ToyAccess(11, testing_util::kMike, testing_util::kAlice)};
+  EBA_ASSERT_OK(t.auditor->AppendAccessBatch(batch));
+  const StreamingReport report = UnwrapOrDie(t.auditor->ExplainNew());
+  EXPECT_EQ(report.explained_lids, (std::vector<int64_t>{5}));
+  EXPECT_EQ(report.unexplained_lids, (std::vector<int64_t>{7, 11}));
+  EXPECT_EQ(report.per_template_counts, (std::vector<size_t>{1}));
+  ExpectMatchesOracle(report, ClonedOracle(t.db, "Log",
+                                           t.auditor->engine().templates(),
+                                           {5, 7, 11}));
+  std::unordered_set<int64_t> expected = {1, 5, 10};
+  EXPECT_TRUE(t.auditor->ExplainedSetEquals(expected));
+}
+
+/// Rows that repeat the lids of `rows` (every `stride`-th one), with the
+/// user replaced so the new row itself rarely carries an explanation.
+std::vector<Row> RepeatLids(const std::vector<Row>& rows, size_t stride,
+                            size_t limit, int user_col) {
+  std::vector<Row> out;
+  for (size_t r = 0; r < rows.size() && out.size() < limit; r += stride) {
+    Row row = rows[r];
+    row[static_cast<size_t>(user_col)] = Value::Int64(-1);
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+TEST(StreamingAuditorTest, RecoveryConvergesOverWalTailWithRepeatedLids) {
+  StreamingFixture f = MakeFixture(/*seed_days=*/4);
+  const std::string dir =
+      ::testing::TempDir() + "/ingest_recover_repeated_lids";
+  std::filesystem::remove_all(dir);
+  DurabilityOptions opts;
+  opts.dir = dir;
+  opts.sync = WalSync::kNone;
+  opts.checkpoint_after_wal_bytes = 0;  // explicit checkpoints only
+
+  const Table* log = UnwrapOrDie(
+      static_cast<const Database&>(f.data.db).GetTable("LogStream"));
+  const int lid_col = log->schema().ColumnIndex("Lid");
+  const int user_col = log->schema().ColumnIndex("User");
+  const size_t half = f.backlog.size() / 2;
+  const std::vector<Row> first(f.backlog.begin(),
+                               f.backlog.begin() + static_cast<long>(half));
+  // The tail repeats lids of the checkpointed rows (half with their
+  // original user, half with an unknown one) and adds fresh rows.
+  std::vector<Row> tail = RepeatLids(first, 7, 40, user_col);
+  for (size_t r = 3; r < first.size() && tail.size() < 60; r += 11) {
+    tail.push_back(first[r]);
+  }
+  tail.insert(tail.end(), f.backlog.begin() + static_cast<long>(half),
+              f.backlog.begin() + static_cast<long>(half + 50));
+  {
+    StreamingAuditor auditor = MakeAuditor(&f);
+    EBA_ASSERT_OK(auditor.EnableDurability(opts));
+    (void)UnwrapOrDie(auditor.ExplainNew());
+    EBA_ASSERT_OK(auditor.AppendAccessBatch(first));
+    (void)UnwrapOrDie(auditor.ExplainNew());
+    EBA_ASSERT_OK(auditor.Checkpoint());
+    EBA_ASSERT_OK(auditor.AppendAccessBatch(tail));
+  }  // crash: the tail lives only in the WAL
+
+  Database db;
+  RecoveryStats stats;
+  EBA_ASSERT_OK_AND_ASSIGN(
+      StreamingAuditor recovered,
+      StreamingAuditor::RecoverFrom(&db, "LogStream", opts, &stats));
+  EXPECT_EQ(stats.wal_rows_replayed, tail.size());
+  for (const auto& tmpl : f.templates) {
+    EBA_ASSERT_OK(recovered.AddTemplate(tmpl));
+  }
+  const StreamingReport converge = UnwrapOrDie(recovered.ExplainNew());
+  EXPECT_EQ(converge.new_rows(), tail.size());
+  ExpectMatchesOracle(converge, ClonedOracle(db, "LogStream", f.templates,
+                                             LidsOf(tail, lid_col)));
+  EXPECT_FALSE(converge.explained_lids.empty());
+  EXPECT_FALSE(converge.unexplained_lids.empty());
+
+  // The recovered set equals a fresh full audit, and the next append
+  // (another recurring lid) keeps classifying correctly.
+  const ExplanationReport full =
+      UnwrapOrDie(recovered.engine().ExplainAll());
+  EXPECT_TRUE(recovered.ExplainedSetEquals(std::unordered_set<int64_t>(
+      full.explained_lids.begin(), full.explained_lids.end())));
+  const std::vector<Row> again = RepeatLids(first, 13, 5, user_col);
+  EBA_ASSERT_OK(recovered.AppendAccessBatch(again));
+  const StreamingReport next = UnwrapOrDie(recovered.ExplainNew());
+  ExpectMatchesOracle(next, ClonedOracle(db, "LogStream", f.templates,
+                                         LidsOf(again, lid_col)));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StreamingAuditorTest, ResetReplayIsIdenticalAcrossThreadCounts) {
+  StreamingFixture f = MakeFixture(/*seed_days=*/4);
+  StreamingAuditor auditor = MakeAuditor(&f);
+  EBA_ASSERT_OK(auditor.AppendAccessBatch(f.backlog));
+  const Table* log = UnwrapOrDie(
+      static_cast<const Database&>(f.data.db).GetTable("LogStream"));
+  const int lid_col = log->schema().ColumnIndex("Lid");
+  const int user_col = log->schema().ColumnIndex("User");
+  // Lid of row 0 recurs in the last row: with several row shards the two
+  // rows land in the first and the last shard.
+  EBA_ASSERT_OK(
+      auditor.AppendAccessBatch(RepeatLids({log->GetRow(0)}, 1, 1, user_col)));
+  const size_t rows = log->num_rows();
+  std::vector<int64_t> all_lids;
+  for (size_t r = 0; r < rows; ++r) {
+    all_lids.push_back(log->GetRow(r)[static_cast<size_t>(lid_col)].AsInt64());
+  }
+  const BatchOracle oracle =
+      ClonedOracle(f.data.db, "LogStream", f.templates, all_lids);
+
+  StreamingReport reference;
+  for (size_t threads : {1, 2, 4, 8}) {
+    StreamingOptions options;
+    options.num_threads = threads;
+    options.min_rows_per_shard = 1;
+    options.executor.min_rows_per_morsel = 1;
+    auditor.ResetAudit();
+    const StreamingReport report = UnwrapOrDie(auditor.ExplainNew(options));
+    EXPECT_EQ(report.audited_from, 0u);
+    EXPECT_EQ(report.audited_to, rows);
+    if (threads == 1) {
+      reference = report;
+      ExpectMatchesOracle(report, oracle);
+      continue;
+    }
+    EXPECT_EQ(report.per_template_counts, reference.per_template_counts)
+        << threads << " threads";
+    EXPECT_EQ(report.explained_lids, reference.explained_lids)
+        << threads << " threads";
+    EXPECT_EQ(report.unexplained_lids, reference.unexplained_lids)
+        << threads << " threads";
+  }
+
+  // The boxed reference engine seeds the same rows and must agree.
+  StreamingOptions boxed;
+  boxed.executor.engine = ExecutorOptions::Engine::kBoxedReference;
+  auditor.ResetAudit();
+  ExpectMatchesOracle(UnwrapOrDie(auditor.ExplainNew(boxed)), oracle);
 }
 
 }  // namespace

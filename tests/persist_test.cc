@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "careweb/generator.h"
+#include "common/crc32.h"
+#include "storage/checkpoint.h"
 #include "storage/persist.h"
 #include "tests/test_util.h"
 
@@ -199,6 +206,90 @@ TEST(PersistTest, LoadRejectsWrongCsvHeader) {
       "id\n1\n");  // header arity disagrees with the schema
   EXPECT_FALSE(LoadDatabase(dir).ok());
   std::filesystem::remove_all(dir);
+}
+
+// ----- Checkpoint manifest: the explained-lid (LIDS) line ----------------
+
+/// Publishes a full checkpoint of the toy database whose audit state holds
+/// `lids`, in store directory `dir`.
+void PublishWithLids(const std::string& dir, const std::vector<int64_t>& lids) {
+  Database db = BuildPaperToyDatabase();
+  CheckpointStore store(RealEnv(), dir);
+  EBA_ASSERT_OK(store.Init());
+  AuditState audit;
+  audit.audited_rows = 2;
+  audit.explained_lids = lids;
+  audit.audit_watermarks["Log"] = 2;
+  EBA_ASSERT_OK(store.Publish(UnwrapOrDie(store.Prepare(db, audit, true))));
+}
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Replaces `from` with `to` in the manifest of checkpoint 1 and re-seals
+/// its CRC, so only the parser (not the checksum) can object.
+void RewriteManifest(const std::string& dir, const std::string& from,
+                     const std::string& to) {
+  const std::string path = dir + "/ckpt-1/ckpt.txt";
+  std::string text = ReadText(path);
+  const size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  text.replace(at, from.size(), to);
+  const std::string body = text.substr(0, text.rfind("\nCRC ") + 1);
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%x", Crc32(body));
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << body << "CRC " << crc << "\n";
+}
+
+TEST(CheckpointManifestTest, ExplainedLidsRoundTrip) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<int64_t> many;
+  for (int64_t lid = 1; lid <= 110000; ++lid) many.push_back(lid);
+  const std::vector<std::vector<int64_t>> cases = {
+      {},
+      {7},
+      many,
+      {-40, -3, -1, 0, 5},
+      {kMin, kMin + 1, -1, 0, kMax - 1, kMax}};
+  for (const std::vector<int64_t>& lids : cases) {
+    const std::string dir = TempDir("eba_manifest_lids");
+    PublishWithLids(dir, lids);
+    const CheckpointContents loaded =
+        UnwrapOrDie(CheckpointStore(RealEnv(), dir).LoadNewest());
+    EXPECT_EQ(loaded.audit.explained_lids, lids) << lids.size() << " lids";
+    EXPECT_EQ(loaded.audit.audited_rows, 2u);
+    EXPECT_EQ(loaded.audit.audit_watermarks.at("Log"), 2u);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(CheckpointManifestTest, MalformedLidsLineIsInternal) {
+  // Each rewrite keeps the CRC valid; the LIDS parser must still refuse.
+  const std::vector<std::pair<std::string, std::string>> rewrites = {
+      {"LIDS 1 2 3", "LIDS 1 2x 3"},   // trailing garbage in a token
+      {"LIDS 1 2 3", "LIDS 1 +2 3"},   // sign the writer never emits
+      {"LIDS 1 2 3", "LIDS 1  2 3"},   // empty token
+      {"LIDS 1 2 3", "LIDS 1 2 -"},    // sign without digits
+      {"LIDS 1 2 3", "LIDS 1 2 99999999999999999999"},  // out of range
+      {"LIDS 1 2 3", "LIDS 1 2"},      // fewer lids than EXPLAINED says
+      {"LIDS 1 2 3", "LIDS,1 2 3"},    // not a LIDS directive
+  };
+  for (const auto& [from, to] : rewrites) {
+    const std::string dir = TempDir("eba_manifest_malformed");
+    PublishWithLids(dir, {1, 2, 3});
+    RewriteManifest(dir, from, to);
+    const StatusOr<CheckpointContents> loaded =
+        CheckpointStore(RealEnv(), dir).LoadNewest();
+    ASSERT_FALSE(loaded.ok()) << to;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInternal) << to;
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace
